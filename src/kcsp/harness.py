@@ -23,6 +23,7 @@ from .core import CspInstance, Nogood, PartialAssignment, is_satisfying
 from .generators import GenSpec, gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
+    _Z99,
     NarrowTracker,
     PointSet,
     avg_narrow_count,
@@ -33,8 +34,6 @@ from .ppsz import _iterate, derive_seed, success_lower_bound
 from .dpll import solve_dpll
 from .analysis import char_root
 from .version import __version__
-
-_Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)

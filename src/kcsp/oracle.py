@@ -16,6 +16,10 @@ import numpy as np
 from .core import CspInstance, PartialAssignment, is_satisfying
 
 DEFAULT_CAP = 1 << 24
+# enumerate_solutions refuses larger spaces whatever the cap: its mask
+# takes one byte per point.
+_MAX_POINTS = 1 << 28
+_DECODE_ROWS = 1 << 16
 EXHAUSTIVE_MAX_N = 8
 
 _Z99 = 2.5758293035489004
@@ -78,76 +82,121 @@ class SolutionSet:
             raise ValueError(f"{X} is not a solution") from None
 
 
-def _encode(points, n: int, d: int) -> np.ndarray:
-    """Mixed-radix codes (variable 1 most significant); lexicographic == numeric."""
-    codes = np.zeros(len(points), dtype=np.int64)
-    arr = np.asarray(points, dtype=np.int64)
+def _critical_dims(X: tuple, S, n: int, d: int) -> set[int]:
+    """Dimensions (1-indexed) where some single-value change moves X out of S."""
+    crit = set()
     for i in range(n):
-        codes = codes * d + arr[:, i]
-    return codes
-
-
-def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(sorted_codes, queries)
-    idx[idx == len(sorted_codes)] = 0
-    return sorted_codes[idx] == queries if len(sorted_codes) else np.zeros(len(queries), bool)
-
-
-def _critical_matrix(sorted_codes: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Boolean (|S|, n): entry (s, i) set iff dimension i+1 is critical for point s."""
-    crit = np.zeros((len(sorted_codes), n), dtype=bool)
-    for i in range(n):
-        power = d ** (n - 1 - i)
-        digit = (sorted_codes // power) % d
-        for delta in range(1, d):
-            alt = sorted_codes + (((digit + delta) % d) - digit) * power
-            crit[:, i] |= ~_member(sorted_codes, alt)
+        for a in range(d):
+            if a != X[i] and (*X[:i], a, *X[i + 1 :]) not in S:
+                crit.add(i + 1)
+                break
     return crit
 
 
 def isolation_degrees(points, n: int, d: int) -> list[int]:
     """Isolation degree of each point with respect to the given set itself."""
-    order = sorted(range(len(points)), key=lambda idx: tuple(points[idx]))
-    codes = _encode([points[idx] for idx in order], n, d)
-    counts = _critical_matrix(codes, n, d).sum(axis=1)
-    out = [0] * len(points)
-    for rank, idx in enumerate(order):
-        out[idx] = int(counts[rank])
-    return out
+    S = {tuple(X) for X in points}
+    return [len(_critical_dims(tuple(X), S, n, d)) for X in points]
+
+
+def _matching_block(pairs, n: int, d: int) -> tuple[list[int], tuple]:
+    """A shape for the flat point mask and a basic index into it that selects
+    exactly the points matching `pairs`.
+
+    Each fixed variable gets an axis and each run of free ones shares one,
+    so no shape has more axes than n, which the point limit keeps at 28 or
+    less when d >= 2; axes of length 1 (d = 1) are dropped, since their
+    only index is 0.
+    """
+    shape, index = [], []
+    covered = 0
+    for v, a in pairs:
+        if v > covered + 1:
+            shape.append(d ** (v - 1 - covered))
+            index.append(slice(None))
+        shape.append(d)
+        index.append(a)
+        covered = v
+    if n > covered:
+        shape.append(d ** (n - covered))
+        index.append(slice(None))
+    kept = [axis for axis, size in enumerate(shape) if size > 1]
+    return [shape[axis] for axis in kept], tuple(index[axis] for axis in kept)
+
+
+def _critical_dims_of_mask(ok: np.ndarray, codes: np.ndarray, n: int, d: int) -> tuple:
+    """The critical dimensions of each point in `codes`, read off the mask.
+
+    Bit i of a point's key marks dimension i+1: for X in the mask,
+    ok[X + (a - X_i) d^(n-1-i)] is false for some value a.  With d = 1 no
+    point has a neighbour; with d >= 2 the point limit keeps n <= 28, so
+    the bits fit in an int64.  Points with equal keys share one tuple.
+    """
+    keys = np.zeros(len(codes), dtype=np.int64)
+    if d > 1:
+        rest = codes
+        for i in range(n - 1, -1, -1):
+            rest, digit = np.divmod(rest, d)
+            power = d ** (n - 1 - i)
+            base = codes - digit * power
+            stays = ok[base]
+            for a in range(1, d):
+                stays &= ok[base + a * power]
+            keys[~stays] |= 1 << i
+    keys = keys.tolist()
+    shared = {key: tuple(i + 1 for i in range(n) if key >> i & 1) for key in set(keys)}
+    return tuple(map(shared.__getitem__, keys))
+
+
+def _decode(codes: np.ndarray, n: int, d: int) -> tuple:
+    """The points with the given codes, as tuples of ints.
+
+    Decoded a block of rows at a time, so that one block's digit lists,
+    not every row's, sit beside the tuples.
+    """
+    points = []
+    for lo in range(0, len(codes), _DECODE_ROWS):
+        rest = codes[lo : lo + _DECODE_ROWS]
+        columns = []
+        for _ in range(n):
+            rest, digit = np.divmod(rest, d)
+            columns.append(digit.tolist())
+        points += zip(*reversed(columns))
+    return tuple(points)
 
 
 def enumerate_solutions(instance: CspInstance, cap: int = DEFAULT_CAP) -> SolutionSet:
-    """Exhaustively list all satisfying total assignments, in lexicographic order."""
+    """Exhaustively list all satisfying total assignments, in lexicographic order.
+
+    Memory: a mask of one byte per point of D^n; per solution, an int64
+    code, an int64 key of its critical dimensions and a few int64
+    temporaries for one dimension at a time; then the returned tuples,
+    whose digits are decoded 2^16 rows at a time.  Nothing else grows with
+    d^n.  A space of more than `cap` points, or of more than 2^28 points (a
+    256 MiB mask) whatever the cap, is refused with ValueError before
+    anything is allocated; the CLI reports that with exit code 3.
+    """
     n, d = instance.n, instance.d
     total = d**n
     if total > cap:
-        raise ValueError(f"search space d^n = {total} exceeds cap {cap}")
-    powers = [d ** (n - 1 - i) for i in range(n)]
-    chunk = 1 << 16
-    found = []
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        matched_any = np.zeros(len(codes), dtype=bool)
-        for ng in instance.nogoods:
-            matched = np.ones(len(codes), dtype=bool)
-            for v, a in ng.pairs:
-                matched &= (codes // powers[v - 1]) % d == a
-            matched_any |= matched
-        found.append(codes[~matched_any])
-    sol_codes = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+        raise ValueError(f"search space d^n = {d}^{n} exceeds cap {cap}")
+    if total > _MAX_POINTS:
+        raise ValueError(
+            f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
+        )
+    # ok[c] is the point with mixed-radix code c (variable 1 most
+    # significant, so numeric order is lexicographic order); each nogood
+    # clears the block of points it matches in one strided write.
+    ok = np.ones(total, dtype=bool)
+    for ng in instance.nogoods:
+        shape, index = _matching_block(ng.pairs, n, d)
+        ok.reshape(shape)[index] = False
+    codes = np.flatnonzero(ok)
 
-    solutions = []
-    for code in sol_codes.tolist():
-        point = [0] * n
-        for i in range(n - 1, -1, -1):
-            point[i] = code % d
-            code //= d
-        solutions.append(tuple(point))
-
-    crit = _critical_matrix(sol_codes, n, d)
-    critical_dims = tuple(tuple(int(i) + 1 for i in np.nonzero(row)[0]) for row in crit)
-    isolation = tuple(int(c) for c in crit.sum(axis=1))
-    return SolutionSet(n, d, tuple(solutions), critical_dims, isolation)
+    critical_dims = _critical_dims_of_mask(ok, codes, n, d)
+    isolation = tuple(map(len, critical_dims))
+    solutions = _decode(codes, n, d)
+    return SolutionSet(n, d, solutions, critical_dims, isolation)
 
 
 def critical_points(X, S: PointSet) -> set[int]:
@@ -155,13 +204,7 @@ def critical_points(X, S: PointSet) -> set[int]:
     X = tuple(X)
     if X not in S:
         raise ValueError(f"{X} is not in the point set")
-    crit = set()
-    for i in range(S.n):
-        for a in range(S.d):
-            if a != X[i] and (*X[:i], a, *X[i + 1 :]) not in S:
-                crit.add(i + 1)
-                break
-    return crit
+    return _critical_dims(X, S.points, S.n, S.d)
 
 
 def verify_lemma2(S, n: int | None = None, d: int | None = None) -> tuple[bool, int]:

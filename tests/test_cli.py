@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,21 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--cap", "2", triangle_path)
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("n", [40, 30])
+    def test_oversized_cap_refused_before_allocating(self, capsys, tmp_path, n):
+        # 2^40 points is over the cap; 2^30 is under it but over the point limit
+        path = tmp_path / "wide.csp"
+        path.write_text(f"p csp {n} 2\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "oracle", "--cap", "10000000000", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert peak < 1 << 22
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from kcsp import (
     narrowed_domain,
     verify_lemma2,
 )
-from kcsp.generators import gen_coloring, gen_nqueens
+from kcsp.generators import gen_coloring, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
 
 from bruteforce import brute_avg_narrow, brute_critical_dims, brute_solutions
@@ -30,6 +31,15 @@ def triangle(d=3):
 
 def pair_forcing():
     return CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
+
+
+def assert_matches_reference(inst):
+    sols = enumerate_solutions(inst)
+    expected = brute_solutions(inst)
+    assert sols.solutions == tuple(expected)
+    dims = [tuple(sorted(brute_critical_dims(X, expected, inst.n, inst.d))) for X in expected]
+    assert sols.critical_dims == tuple(dims)
+    assert sols.isolation == tuple(len(c) for c in dims)
 
 
 class TestEnumerateSolutions:
@@ -52,7 +62,10 @@ class TestEnumerateSolutions:
         assert sols.solutions == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
     def test_arity_zero_kills_everything(self):
-        assert len(enumerate_solutions(CspInstance(3, 2, [Nogood([])]))) == 0
+        for nogoods in ([Nogood([])], [Nogood([(2, 1)]), Nogood([])]):
+            inst = CspInstance(3, 2, nogoods)
+            assert len(enumerate_solutions(inst)) == 0
+            assert_matches_reference(inst)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -69,8 +82,43 @@ class TestEnumerateSolutions:
     def test_matches_reference_on_fuzz(self):
         rng = random.Random(555)
         for _ in range(200):
-            inst = random_instance(rng)
-            assert enumerate_solutions(inst).solutions == tuple(brute_solutions(inst))
+            assert_matches_reference(random_instance(rng, max_d=4))
+
+    def test_cap_enforced_before_allocating(self):
+        # 2^30 points is under the cap but over the mask's point limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                enumerate_solutions(CspInstance(30, 2), cap=10**10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_all_fields_match_reference_on_large_space(self):
+        # 3^11 = 177,147 points, past the 2^16 the corpus test stops at
+        inst = gen_uniform(11, 3, 2, 40, 2024)
+        assert_matches_reference(inst)
+
+    def test_decode_crosses_row_blocks(self):
+        # 104,976 solutions: one full block of 2^16 rows and a partial one
+        inst = CspInstance(11, 3, [Nogood([(1, 0), (5, 2)]), Nogood([(11, 1)])])
+        sols = enumerate_solutions(inst)
+        expected = brute_solutions(inst)
+        assert len(expected) == 104_976
+        assert sols.solutions == tuple(expected)
+        for row in (0, 65_535, 65_536, 65_537, len(expected) - 1):
+            dims = brute_critical_dims(expected[row], expected, 11, 3)
+            assert sols.critical_dims[row] == tuple(sorted(dims))
+
+    def test_unit_domain_past_64_variables(self):
+        sols = enumerate_solutions(CspInstance(70, 1))
+        assert sols.solutions == ((0,) * 70,)
+        assert sols.critical_dims == ((),) and sols.isolation == (0,)
+        # the second nogood fixes every other variable: 140 mask axes if
+        # axes of length 1 were kept
+        for nogood in (Nogood([(64, 0), (65, 0)]), Nogood([(v, 0) for v in range(1, 141, 2)])):
+            assert_matches_reference(CspInstance(140, 1, [nogood]))
 
     def test_isolation_of_lookup(self):
         sols = enumerate_solutions(pair_forcing())
@@ -100,8 +148,8 @@ class TestCriticalPoints:
             critical_points((1, 1), S)
 
     def test_three_routes_agree_on_fuzz(self):
-        # vectorized matrix (via isolation_degrees), the definitional loop
-        # in critical_points, and the reference copy in bruteforce
+        # isolation_degrees and critical_points (one definitional loop
+        # behind both) against the reference copy in bruteforce
         rng = random.Random(556)
         for _ in range(120):
             n = rng.randint(1, 4)
@@ -124,6 +172,26 @@ class TestCriticalPoints:
             S = sols.as_point_set() if len(sols) else None
             for X, dims in zip(sols.solutions, sols.critical_dims):
                 assert set(dims) == critical_points(X, S), name
+
+
+class TestIsolationPastInt64:
+    """Spaces of more than 2^63 points, where an int64 point code would wrap."""
+
+    @pytest.mark.parametrize("n, d", [(40, 3), (64, 2), (63, 2), (62, 2)])
+    def test_last_coordinate_free(self, n, d):
+        points = [(d - 1,) * (n - 1) + (a,) for a in range(d)]
+        assert isolation_degrees(points, n, d) == [n - 1] * d
+        S = PointSet.of(points, n, d)
+        assert all(critical_points(X, S) == set(range(1, n)) for X in points)
+
+    def test_lemma2_sum_exact(self):
+        # each point has J = 39, so the sum is 3 * 3^39 = 3^40 exactly
+        points = [(2,) * 39 + (a,) for a in range(3)]
+        assert verify_lemma2(points, n=40, d=3) == (True, 3**40)
+
+    def test_unsorted_input_keeps_order(self):
+        points = [(1,) * 63 + (0,), (0,) * 64, (1,) * 64]
+        assert isolation_degrees(points, 64, 2) == [63, 64, 63]
 
 
 class TestPointSet:
