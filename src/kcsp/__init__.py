@@ -5,30 +5,24 @@ list of nogoods (forbidden partial assignments); a total assignment
 satisfies the instance when it matches no nogood.  The package bundles a
 deterministic branching solver, a randomized permutation solver, exact
 enumeration oracles for the structural quantities both solvers rely on
-(critical points, isolation degree, narrowed domains), growth-rate
+(critical points, isolation degree, narrow-choice counts), growth-rate
 analysis of the node-count bounds, instance generators, and a harness
 for reproducible experiments.
 """
 
 from .version import __version__
 from .core import (
-    UNASSIGNED,
     CspInstance,
     Nogood,
     ParseError,
-    PartialAssignment,
-    is_narrowly_chosen,
     is_satisfying,
     load_instance,
-    narrowed_domain,
-    nogood_status,
     parse_instance,
     save_instance,
     serialize_instance,
 )
 from .generators import GenSpec, gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
 from .oracle import (
-    NarrowTracker,
     PointSet,
     SolutionSet,
     avg_narrow_count,
@@ -37,12 +31,11 @@ from .oracle import (
     isolation_degrees,
     verify_lemma2,
 )
-from .dpll import DpllStats, count_nodes, solve_dpll
+from .dpll import DpllStats, solve_dpll
 from .ppsz import (
     PpszStats,
     bound_variable_domain_ppsz,
     repeat_count,
-    run_iteration,
     solve_ppsz,
     success_lower_bound,
 )
@@ -65,16 +58,11 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "UNASSIGNED",
     "CspInstance",
     "Nogood",
     "ParseError",
-    "PartialAssignment",
-    "is_narrowly_chosen",
     "is_satisfying",
     "load_instance",
-    "narrowed_domain",
-    "nogood_status",
     "parse_instance",
     "save_instance",
     "serialize_instance",
@@ -84,7 +72,6 @@ __all__ = [
     "gen_model_rb",
     "gen_nqueens",
     "gen_uniform",
-    "NarrowTracker",
     "PointSet",
     "SolutionSet",
     "avg_narrow_count",
@@ -93,12 +80,10 @@ __all__ = [
     "isolation_degrees",
     "verify_lemma2",
     "DpllStats",
-    "count_nodes",
     "solve_dpll",
     "PpszStats",
     "bound_variable_domain_ppsz",
     "repeat_count",
-    "run_iteration",
     "solve_ppsz",
     "success_lower_bound",
     "BoundRow",

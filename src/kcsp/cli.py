@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for success (SAT, or a passing verdict), 1 for UNSAT /
-FAILURE / failing verdicts, 2 for usage problems (bad flags, unreadable
-or malformed files), 3 for runtime limits (enumeration cap, overflow).
+FAILURE / failing verdicts, 2 for usage problems (bad or missing flags,
+unreadable or malformed files), 3 for runtime limits (enumeration cap,
+overflow).
 
 JSON payloads use a fixed key order and omit absent fields; elapsed_ms
 appears on stdout only, never in --out/--stats files, so rerunning a
@@ -70,26 +71,23 @@ def _write_text(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+# family -> {GenSpec parameter: the flag that supplies it}
+_GEN_FLAGS = {
+    "uniform": {"n": "n", "d": "d", "k": "k", "m": "m"},
+    "model-rb": {"n": "n", "alpha": "alpha", "r": "r", "p": "p", "k": "k"},
+    "coloring": {"edges": "edges", "num_vertices": "vertices", "d": "d"},
+    "latin": {"N": "size"},
+    "nqueens": {"N": "size"},
+}
+
+
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.family == "uniform":
-        params = {"n": args.n, "d": args.d, "k": args.k, "m": args.m}
-        missing = [key for key, value in params.items() if value is None]
-        if missing:
-            raise ValueError(f"gen uniform requires --{' --'.join(missing)}")
-    elif args.family == "model-rb":
-        params = {"n": args.n, "alpha": args.alpha, "r": args.r, "p": args.p, "k": args.k}
-        missing = [key for key, value in params.items() if value is None]
-        if missing:
-            raise ValueError(f"gen model-rb requires --{' --'.join(missing)}")
-    elif args.family == "coloring":
-        if args.edges is None or args.vertices is None or args.d is None:
-            raise ValueError("gen coloring requires --edges --vertices --d")
-        params = {"edges": args.edges, "num_vertices": args.vertices, "d": args.d}
-    elif args.family in ("latin", "nqueens"):
-        if args.size is None:
-            raise ValueError(f"gen {args.family} requires --size")
-        params = {"N": args.size}
+    flags = _GEN_FLAGS[args.family]
+    missing = [flag for flag in flags.values() if getattr(args, flag) is None]
+    if missing:
+        print(f"error: gen {args.family} requires --{' --'.join(missing)}", file=sys.stderr)
+        return 2
+    params = {param: getattr(args, flag) for param, flag in flags.items()}
     instance = GenSpec(args.family, params, args.seed).build()
     _write_text(serialize_instance(instance), args.out)
     return 0
@@ -216,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("family", choices=["uniform", "model-rb", "coloring", "latin", "nqueens"])
+    gen.add_argument("family", choices=list(_GEN_FLAGS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.add_argument("--n", type=int, default=None)

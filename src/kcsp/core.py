@@ -8,11 +8,8 @@ satisfies the instance iff no nogood is fully matched.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-
-UNASSIGNED = None
 
 
 class ParseError(ValueError):
@@ -45,78 +42,6 @@ class Nogood:
     @property
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pairs)
-
-
-class StatusKind(enum.Enum):
-    KILLED = "killed"
-    MATCHED = "matched"
-    ACTIVE = "active"
-
-
-@dataclass(frozen=True)
-class NogoodStatus:
-    """Classification of a nogood against a partial assignment.
-
-    KILLED: some assigned variable disagrees with the nogood, so the nogood
-    can never be matched on this branch.  MATCHED: every pair is assigned
-    and agrees, i.e. the nogood is violated.  ACTIVE: no disagreement yet,
-    with at least one pair unassigned; `unassigned` lists those variables
-    in canonical (sorted) order.
-    """
-
-    kind: StatusKind
-    unassigned: tuple[int, ...] = ()
-
-
-KILLED = NogoodStatus(StatusKind.KILLED)
-MATCHED = NogoodStatus(StatusKind.MATCHED)
-
-
-class PartialAssignment:
-    """Mutable per-variable value map built up during search.
-
-    Variables are 1-indexed; `values[0]` is unused padding.  Single-owner:
-    one search thread mutates one instance of this.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.values: list[int | None] = [UNASSIGNED] * (n + 1)
-        self.assigned_count = 0
-
-    def assign(self, var: int, value: int) -> None:
-        if self.values[var] is not UNASSIGNED:
-            raise ValueError(f"variable {var} already assigned")
-        self.values[var] = value
-        self.assigned_count += 1
-
-    def unassign(self, var: int) -> None:
-        if self.values[var] is UNASSIGNED:
-            raise ValueError(f"variable {var} is not assigned")
-        self.values[var] = UNASSIGNED
-        self.assigned_count -= 1
-
-    def value(self, var: int) -> int | None:
-        return self.values[var]
-
-    def is_assigned(self, var: int) -> bool:
-        return self.values[var] is not UNASSIGNED
-
-    def is_total(self) -> bool:
-        return self.assigned_count == self.n
-
-    def as_tuple(self) -> tuple[int, ...]:
-        if not self.is_total():
-            raise ValueError("assignment is not total")
-        return tuple(self.values[1:])
-
-    @classmethod
-    def from_values(cls, values) -> "PartialAssignment":
-        pa = cls(len(values))
-        for var, val in enumerate(values, start=1):
-            if val is not UNASSIGNED:
-                pa.assign(var, val)
-        return pa
 
 
 class CspInstance:
@@ -177,62 +102,71 @@ class CspInstance:
         return tuple(ng.arity for ng in self.nogoods)
 
 
-def nogood_status(nogood: Nogood, pa: PartialAssignment) -> NogoodStatus:
-    """Classify `nogood` under `pa` as KILLED, MATCHED, or ACTIVE."""
-    unassigned = []
-    for v, a in nogood.pairs:
-        val = pa.values[v]
-        if val is UNASSIGNED:
-            unassigned.append(v)
-        elif val != a:
-            return KILLED
-    if unassigned:
-        return NogoodStatus(StatusKind.ACTIVE, tuple(unassigned))
-    return MATCHED
-
-
-def is_satisfying(instance: CspInstance, pa: PartialAssignment) -> bool:
-    """True iff the total assignment `pa` matches no nogood in full."""
-    if not pa.is_total():
+def is_satisfying(instance: CspInstance, values) -> bool:
+    """True iff the total assignment `values` (variable v's value at index
+    v-1) matches no nogood in full."""
+    if len(values) != instance.n or None in values:
         raise ValueError("is_satisfying requires a total assignment")
-    values = pa.values
     for ng in instance.nogoods:
-        if all(values[v] == a for v, a in ng.pairs):
+        if all(values[v - 1] == a for v, a in ng.pairs):
             return False
     return True
 
 
-def narrowed_domain(instance: CspInstance, pa: PartialAssignment, y: int) -> set[int]:
-    """Values still open to unassigned variable `y` under `pa`.
+class NogoodState:
+    """Incremental status of every nogood under a partial assignment.
 
-    A value a is removed when some nogood contains (y, a) and every one of
-    its other pairs is assigned and agrees.  A unary nogood (y, a) removes
-    a unconditionally.  An arity-0 nogood is already violated, so nothing
-    is open to any variable and the empty set is returned.
+    `values[v]` is variable v's value, or None while unassigned
+    (`values[0]` is unused padding).  For nogood j, `left[j]` counts its
+    unassigned pairs and `bad[j]` its assigned pairs that disagree with it:
+    the nogood is killed when bad[j] > 0, matched when left[j] == bad[j] ==
+    0, and live otherwise.  `matched` counts matched nogoods; arity-0
+    nogoods are matched from the start.  Single-owner and mutable.
     """
-    if pa.is_assigned(y):
-        raise ValueError(f"variable {y} is already assigned")
-    values = pa.values
-    domain = set(range(instance.d))
-    for ng in instance.nogoods:
-        if ng.arity == 0:
-            return set()
-        forbidden = None
-        others_match = True
-        for v, a in ng.pairs:
-            if v == y:
-                forbidden = a
-            elif values[v] != a:
-                others_match = False
-                break
-        if forbidden is not None and others_match:
-            domain.discard(forbidden)
-    return domain
 
+    def __init__(self, instance: CspInstance):
+        self.by_var = instance.by_var
+        self._arities = instance.arities
+        self._empty = instance.arities.count(0)
+        self.values: list[int | None] = [None] * (instance.n + 1)
+        self.left = list(self._arities)
+        self.bad = [0] * len(self._arities)
+        self.matched = self._empty
 
-def is_narrowly_chosen(instance: CspInstance, pa: PartialAssignment, y: int) -> bool:
-    """True iff at least one value of `y` is currently ruled out by a nogood."""
-    return len(narrowed_domain(instance, pa, y)) < instance.d
+    def reset(self) -> None:
+        """Back to the empty assignment."""
+        self.values[:] = [None] * len(self.values)
+        self.left[:] = self._arities
+        self.bad[:] = [0] * len(self.bad)
+        self.matched = self._empty
+
+    def assign(self, var: int, value: int) -> None:
+        self.values[var] = value
+        left, bad = self.left, self.bad
+        for j, a in self.by_var[var]:
+            left[j] -= 1
+            if a != value:
+                bad[j] += 1
+            elif left[j] == 0 and bad[j] == 0:
+                self.matched += 1
+
+    def unassign(self, var: int) -> None:
+        """Exact inverse of the `assign` that set var."""
+        value = self.values[var]
+        self.values[var] = None
+        left, bad = self.left, self.bad
+        for j, a in self.by_var[var]:
+            if a != value:
+                bad[j] -= 1
+            elif left[j] == 0 and bad[j] == 0:
+                self.matched -= 1
+            left[j] += 1
+
+    def forbidden(self, y: int) -> set[int]:
+        """Values a of the live nogoods whose only unassigned pair is (y, a):
+        the values that would complete a match."""
+        left, bad = self.left, self.bad
+        return {a for j, a in self.by_var[y] if left[j] == 1 and bad[j] == 0}
 
 
 def parse_instance(text) -> CspInstance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import CspInstance, PartialAssignment, is_satisfying
+from .core import CspInstance, NogoodState, is_satisfying
 
 
 @dataclass(frozen=True)
@@ -26,48 +26,21 @@ class DpllStats:
     max_depth: int
     elapsed_s: float
 
-    def semantic_key(self):
-        return (self.status, self.assignment, self.nodes, self.max_depth)
-
 
 class _Search:
     def __init__(self, instance: CspInstance):
         self.instance = instance
-        self.values: list[int | None] = [None] * (instance.n + 1)
-        self.by_var = instance.by_var
+        self.state = NogoodState(instance)
         self.pair_lists = [ng.pairs for ng in instance.nogoods]
-        self.counts = list(instance.arities)
-        self.bad = [0] * len(self.counts)
-        self.matched = self.counts.count(0)  # arity-0 nogoods are matched up front
         self.nodes = 0
         self.max_depth = 0
 
-    def assign(self, var: int, value: int) -> None:
-        self.values[var] = value
-        counts, bad = self.counts, self.bad
-        for j, a in self.by_var[var]:
-            counts[j] -= 1
-            if a != value:
-                bad[j] += 1
-            elif counts[j] == 0 and bad[j] == 0:
-                self.matched += 1
-
-    def unassign(self, var: int, value: int) -> None:
-        self.values[var] = None
-        counts, bad = self.counts, self.bad
-        for j, a in self.by_var[var]:
-            if a != value:
-                bad[j] -= 1
-            elif counts[j] == 0 and bad[j] == 0:
-                self.matched -= 1
-            counts[j] += 1
-
     def select(self) -> int:
-        """Index of the active nogood with fewest unassigned pairs (ties: lowest index)."""
-        counts, bad = self.counts, self.bad
+        """Index of the live nogood with fewest unassigned pairs (ties: lowest index)."""
+        left, bad = self.state.left, self.state.bad
         best, best_count = -1, None
-        for j in range(len(counts)):
-            c = counts[j]
+        for j in range(len(left)):
+            c = left[j]
             if c > 0 and bad[j] == 0 and (best_count is None or c < best_count):
                 best, best_count = j, c
                 if c == 1:
@@ -78,31 +51,33 @@ class _Search:
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
-        if self.matched > 0:
+        state = self.state
+        if state.matched > 0:
             return None
         chosen = self.select()
+        values = state.values
         if chosen < 0:
             # every nogood killed: any completion satisfies; take zeros
-            values = self.values
             completion = tuple(v if v is not None else 0 for v in values[1:])
-            assert is_satisfying(self.instance, PartialAssignment.from_values(completion))
+            assert is_satisfying(self.instance, completion)
             return completion
-        pairs = [(v, a) for v, a in self.pair_lists[chosen] if self.values[v] is None]
+        pairs = [(v, a) for v, a in self.pair_lists[chosen] if values[v] is None]
         d = self.instance.d
+        assign, unassign = state.assign, state.unassign
         pinned = 0
         for u, a in pairs:
             for value in range(d):
                 if value == a:
                     continue
-                self.assign(u, value)
+                assign(u, value)
                 result = self.run(depth + 1)
                 if result is not None:
                     return result
-                self.unassign(u, value)
-            self.assign(u, a)
+                unassign(u)
+            assign(u, a)
             pinned += 1
-        for u, a in reversed(pairs[:pinned]):
-            self.unassign(u, a)
+        for u, _ in reversed(pairs[:pinned]):
+            unassign(u)
         return None
 
 
@@ -116,7 +91,3 @@ def solve_dpll(instance: CspInstance) -> DpllStats:
         return DpllStats("UNSAT", None, search.nodes, search.max_depth, elapsed)
     return DpllStats("SAT", assignment, search.nodes, search.max_depth, elapsed)
 
-
-def count_nodes(instance: CspInstance) -> int:
-    """Nodes visited: the full tree on UNSAT input, up to first success on SAT."""
-    return solve_dpll(instance).nodes

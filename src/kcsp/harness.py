@@ -19,18 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CspInstance, Nogood, PartialAssignment, is_satisfying
+from .core import CspInstance, Nogood
 from .generators import GenSpec, gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
     _Z99,
-    NarrowTracker,
     PointSet,
     avg_narrow_count,
     enumerate_solutions,
     verify_lemma2,
 )
-from .ppsz import _iterate, derive_seed, success_lower_bound
+from .ppsz import derive_seed, iterations, success_lower_bound
 from .dpll import solve_dpll
 from .analysis import char_root
 from .version import __version__
@@ -153,17 +152,8 @@ def estimate_iteration_success(
         raise ValueError(
             "instance too large to oracle-check; pass assume_satisfiable=True"
         )
-    tracker = NarrowTracker(instance)
-    outcomes = []
-    successes = 0
-    for trial in range(1, trials + 1):
-        rng = random.Random(derive_seed(seed, trial))
-        assignment, _ = _iterate(instance, tracker, rng)
-        ok = assignment is not None and is_satisfying(
-            instance, PartialAssignment.from_values(assignment)
-        )
-        outcomes.append(1 if ok else 0)
-        successes += ok
+    outcomes = [int(assignment is not None) for assignment, _ in iterations(instance, seed, trials)]
+    successes = sum(outcomes)
     p_hat = successes / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     k_eff = max(instance.k_max, 1)

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CspInstance, PartialAssignment, is_satisfying
+from .core import CspInstance, NogoodState, is_satisfying
 
 DEFAULT_CAP = 1 << 24
 # enumerate_solutions refuses larger spaces whatever the cap: its mask
@@ -227,52 +227,6 @@ def verify_lemma2(S, n: int | None = None, d: int | None = None) -> tuple[bool, 
     return lhs >= d**n, lhs
 
 
-class NarrowTracker:
-    """Incremental per-nogood bookkeeping for narrow-choice queries.
-
-    Tracks, for each nogood, how many of its variables are unassigned and
-    whether any assigned variable already disagrees.  A variable y is
-    narrowly chosen exactly when some live nogood has y as its only
-    unassigned variable; that nogood's value at y is then forbidden.
-    Mirrors core.narrowed_domain; the equivalence is covered by tests.
-    """
-
-    def __init__(self, instance: CspInstance):
-        self.d = instance.d
-        self.by_var = instance.by_var
-        self.base_counts = list(instance.arities)
-        self.has_empty_nogood = 0 in instance.arities
-        self.counts = list(self.base_counts)
-        self.killed = bytearray(len(self.base_counts))
-
-    def reset(self) -> None:
-        self.counts[:] = self.base_counts
-        for i in range(len(self.killed)):
-            self.killed[i] = 0
-
-    def forbidden_values(self, y: int) -> set[int]:
-        counts, killed = self.counts, self.killed
-        return {a for j, a in self.by_var[y] if counts[j] == 1 and not killed[j]}
-
-    def narrowed_domain(self, y: int) -> set[int]:
-        if self.has_empty_nogood:
-            return set()
-        return set(range(self.d)) - self.forbidden_values(y)
-
-    def is_narrow(self, y: int) -> bool:
-        if self.has_empty_nogood:
-            return True
-        counts, killed = self.counts, self.killed
-        return any(counts[j] == 1 and not killed[j] for j, _ in self.by_var[y])
-
-    def assign(self, y: int, value: int) -> None:
-        counts, killed = self.counts, self.killed
-        for j, a in self.by_var[y]:
-            counts[j] -= 1
-            if a != value:
-                killed[j] = 1
-
-
 @dataclass(frozen=True)
 class NarrowCountResult:
     """Average number of narrowly chosen variables over assignment orders."""
@@ -301,18 +255,20 @@ def avg_narrow_count(
     """
     X = tuple(X)
     n = instance.n
-    if not is_satisfying(instance, PartialAssignment.from_values(X)):
+    if not is_satisfying(instance, X):
         raise ValueError(f"{X} does not satisfy the instance")
     j = enumerate_solutions(instance, cap=cap).isolation_of(X)
-    tracker = NarrowTracker(instance)
+    state = NogoodState(instance)
 
     def count_for(order) -> int:
-        tracker.reset()
+        # X satisfies the instance, so no nogood is ever matched and a
+        # variable is narrowly chosen exactly when some value is forbidden
+        state.reset()
         count = 0
         for y in order:
-            if tracker.is_narrow(y):
+            if state.forbidden(y):
                 count += 1
-            tracker.assign(y, X[y - 1])
+            state.assign(y, X[y - 1])
         return count
 
     variables = list(range(1, n + 1))

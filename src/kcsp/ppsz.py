@@ -16,8 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import ppsz_bound_base
-from .core import CspInstance, PartialAssignment, is_satisfying
-from .oracle import NarrowTracker
+from .core import CspInstance, NogoodState, is_satisfying
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,18 +47,17 @@ class PpszStats:
     prng: str = "random.Random (Mersenne Twister), one stream per iteration"
 
 
-def _iterate(instance: CspInstance, tracker: NarrowTracker, rng: random.Random):
+def _iterate(instance: CspInstance, state: NogoodState, rng: random.Random):
     """One pass; returns (assignment or None, number of narrowed variables)."""
     n, d = instance.n, instance.d
-    tracker.reset()
-    if tracker.has_empty_nogood:
-        return None, 1
+    state.reset()
+    if state.matched:
+        return None, 1  # an arity-0 nogood empties every domain
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    values = [0] * (n + 1)
     narrow = 0
     for y in order:
-        forbidden = tracker.forbidden_values(y)
+        forbidden = state.forbidden(y)
         if forbidden:
             narrow += 1
             choices = [a for a in range(d) if a not in forbidden]
@@ -68,15 +66,19 @@ def _iterate(instance: CspInstance, tracker: NarrowTracker, rng: random.Random):
             value = choices[rng.randrange(len(choices))]
         else:
             value = rng.randrange(d)
-        values[y] = value
-        tracker.assign(y, value)
-    return tuple(values[1:]), narrow
+        state.assign(y, value)
+    return tuple(state.values[1:]), narrow
 
 
-def run_iteration(instance: CspInstance, rng: random.Random):
-    """Single iteration with caller-supplied randomness; assignment or None."""
-    assignment, _ = _iterate(instance, NarrowTracker(instance), rng)
-    return assignment
+def iterations(instance: CspInstance, seed: int, count: int):
+    """Run iterations 1..count, each on its own stream derive_seed(seed, i),
+    and yield (satisfying assignment or None, narrowed variables) for each."""
+    state = NogoodState(instance)
+    for iteration in range(1, count + 1):
+        assignment, narrow = _iterate(instance, state, random.Random(derive_seed(seed, iteration)))
+        if assignment is not None and not is_satisfying(instance, assignment):
+            assignment = None
+        yield assignment, narrow
 
 
 def _ceil_root(x: int, k: int) -> int:
@@ -159,15 +161,10 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
         max_repeats = default_max_repeats(instance)
     if max_repeats < 1:
         raise ValueError("max_repeats must be at least 1")
-    tracker = NarrowTracker(instance)
     histogram: dict[int, int] = {}
-    for iteration in range(1, max_repeats + 1):
-        rng = random.Random(derive_seed(seed, iteration))
-        assignment, narrow = _iterate(instance, tracker, rng)
+    for iteration, (assignment, narrow) in enumerate(iterations(instance, seed, max_repeats), 1):
         histogram[narrow] = histogram.get(narrow, 0) + 1
-        if assignment is not None and is_satisfying(
-            instance, PartialAssignment.from_values(assignment)
-        ):
+        if assignment is not None:
             return PpszStats(
                 status="SAT",
                 assignment=assignment,

@@ -4,7 +4,7 @@ from kcsp import CspInstance, Nogood
 
 
 def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspInstance:
-    """Small random instance for fuzz cross-checks; arities mix 0..3."""
+    """Small random instance for fuzz cross-checks; arities mix 1..3."""
     n = rng.randint(1, max_n)
     d = rng.randint(2, max_d)
     m = rng.randint(0, 8)

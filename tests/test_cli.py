@@ -58,9 +58,18 @@ class TestGen:
         assert (instance.n, instance.d) == (4, 4)
 
     def test_missing_params_fail(self, capsys):
+        # a missing flag is a usage problem: one error line, exit 2
         code, _, err = run(capsys, "gen", "uniform", "--n", "4")
-        assert code == 3
-        assert "requires" in err
+        assert code == 2
+        assert err == "error: gen uniform requires --d --k --m\n"
+        for family, flags in [
+            ("model-rb", "--n --alpha --r --p --k"),
+            ("coloring", "--edges --vertices --d"),
+            ("latin", "--size"),
+            ("nqueens", "--size"),
+        ]:
+            code, _, err = run(capsys, "gen", family)
+            assert (code, err) == (2, f"error: gen {family} requires {flags}\n")
 
 
 class TestSolve:

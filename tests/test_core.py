@@ -6,25 +6,30 @@ from kcsp import (
     CspInstance,
     Nogood,
     ParseError,
-    PartialAssignment,
-    is_narrowly_chosen,
     is_satisfying,
     load_instance,
-    narrowed_domain,
-    nogood_status,
     parse_instance,
     save_instance,
     serialize_instance,
 )
-from kcsp.core import StatusKind
+from kcsp.core import NogoodState
 from kcsp.generators import gen_coloring
 
-from bruteforce import brute_narrowed_domain, brute_solutions
+from bruteforce import brute_narrowed_domain, brute_solutions, matches
 from conftest import random_instance
 
 
 def triangle():
     return gen_coloring([(1, 2), (2, 3), (1, 3)], 3, 3)
+
+
+def narrowed(instance, state, y):
+    """y's narrowed domain as the kernel reports it."""
+    return set(range(instance.d)) - state.forbidden(y)
+
+
+def snapshot(state):
+    return list(state.values), list(state.left), list(state.bad), state.matched
 
 
 class TestNogood:
@@ -79,91 +84,148 @@ class TestCspInstance:
 
 
 class TestNogoodStatus:
+    # one nogood, ((1, 0), (2, 1)), read off the kernel as killed, matched or live
     def test_active_with_unassigned_subset(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 0)
-        status = nogood_status(Nogood([(1, 0), (2, 1)]), pa)
-        assert status.kind is StatusKind.ACTIVE
-        assert status.unassigned == (2,)
+        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state.assign(1, 0)
+        assert (state.left, state.bad, state.matched) == ([1], [0], 0)
+        assert state.forbidden(2) == {1}
 
     def test_killed_on_disagreement(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 1)
-        assert nogood_status(Nogood([(1, 0), (2, 1)]), pa).kind is StatusKind.KILLED
+        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state.assign(1, 1)
+        assert state.bad == [1] and state.matched == 0
+        assert state.forbidden(2) == set()
 
     def test_matched_when_all_agree(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 0)
-        pa.assign(2, 1)
-        assert nogood_status(Nogood([(1, 0), (2, 1)]), pa).kind is StatusKind.MATCHED
+        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state.assign(1, 0)
+        state.assign(2, 1)
+        assert (state.left, state.bad, state.matched) == ([0], [0], 1)
 
     def test_arity_zero_always_matched(self):
-        assert nogood_status(Nogood([]), PartialAssignment(2)).kind is StatusKind.MATCHED
+        state = NogoodState(CspInstance(2, 2, [Nogood([]), Nogood([(1, 0)])]))
+        assert (state.left, state.bad, state.matched) == ([0, 1], [0, 0], 1)
+        state.assign(1, 0)
+        assert state.matched == 2
+        state.unassign(1)
+        assert state.matched == 1
+        state.assign(1, 1)
+        state.reset()
+        assert (state.left, state.bad, state.matched) == ([0, 1], [0, 0], 1)
 
     def test_invariant_under_assignment_insertion_order(self):
-        ng = Nogood([(1, 0), (3, 1)])
-        first = PartialAssignment(3)
+        inst = CspInstance(3, 2, [Nogood([(1, 0), (3, 1)])])
+        first = NogoodState(inst)
         first.assign(1, 0)
         first.assign(3, 1)
-        second = PartialAssignment(3)
+        second = NogoodState(inst)
         second.assign(3, 1)
         second.assign(1, 0)
-        assert nogood_status(ng, first) == nogood_status(ng, second)
+        assert snapshot(first) == snapshot(second)
+
+
+class TestNogoodState:
+    def test_counts_match_reference_along_random_walks(self):
+        # a walk that assigns and unassigns variables in any order
+        rng = random.Random(4104)
+        for _ in range(200):
+            inst = random_instance(rng)
+            state = NogoodState(inst)
+            assigned = {}
+            for _ in range(3 * inst.n):
+                if assigned and (len(assigned) == inst.n or rng.random() < 0.3):
+                    y = rng.choice(sorted(assigned))
+                    state.unassign(y)
+                    del assigned[y]
+                else:
+                    y = rng.choice([v for v in range(1, inst.n + 1) if v not in assigned])
+                    assigned[y] = rng.randrange(inst.d)
+                    state.assign(y, assigned[y])
+                point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
+                assert state.values == [None, *point]
+                assert state.matched == sum(matches(ng.pairs, point) for ng in inst.nogoods)
+                for j, ng in enumerate(inst.nogoods):
+                    disagree = any(v in assigned and assigned[v] != a for v, a in ng.pairs)
+                    assert (state.bad[j] > 0) == disagree
+                    assert state.left[j] == sum(v not in assigned for v, _ in ng.pairs)
+                for y in range(1, inst.n + 1):
+                    if y not in assigned:
+                        expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
+                        assert state.forbidden(y) == expected
+
+    def test_assign_unassign_round_trip(self):
+        rng = random.Random(4105)
+        for _ in range(200):
+            inst = random_instance(rng)
+            state = NogoodState(inst)
+            order = list(range(1, inst.n + 1))
+            rng.shuffle(order)
+            for y in order:
+                before = snapshot(state)
+                for value in range(inst.d):
+                    state.assign(y, value)
+                    state.unassign(y)
+                    assert snapshot(state) == before
+                state.assign(y, rng.randrange(inst.d))
+
+    def test_reset_restores_initial_state(self):
+        rng = random.Random(4106)
+        for _ in range(100):
+            inst = random_instance(rng)
+            state = NogoodState(inst)
+            initial = snapshot(state)
+            for y in range(1, inst.n + 1):
+                state.assign(y, rng.randrange(inst.d))
+            state.reset()
+            assert snapshot(state) == initial
 
 
 class TestIsSatisfying:
     def test_triangle_proper_coloring(self):
-        assert is_satisfying(triangle(), PartialAssignment.from_values((0, 1, 2)))
+        assert is_satisfying(triangle(), (0, 1, 2))
 
     def test_triangle_monochrome_edge(self):
-        assert not is_satisfying(triangle(), PartialAssignment.from_values((0, 0, 1)))
+        assert not is_satisfying(triangle(), (0, 0, 1))
 
     def test_empty_nogood_list_vacuous(self):
-        assert is_satisfying(CspInstance(2, 2), PartialAssignment.from_values((1, 0)))
+        assert is_satisfying(CspInstance(2, 2), (1, 0))
 
     def test_requires_total_assignment(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 0)
-        with pytest.raises(ValueError, match="total"):
-            is_satisfying(CspInstance(2, 2), pa)
+        for partial in [(0, None), (0,), (0, 1, 0)]:
+            with pytest.raises(ValueError, match="total"):
+                is_satisfying(CspInstance(2, 2), partial)
 
 
 class TestNarrowedDomain:
     def test_triangle_two_neighbors_colored(self):
-        pa = PartialAssignment(3)
-        pa.assign(1, 0)
-        pa.assign(2, 1)
-        assert narrowed_domain(triangle(), pa, 3) == {2}
-        assert is_narrowly_chosen(triangle(), pa, 3)
+        state = NogoodState(triangle())
+        state.assign(1, 0)
+        state.assign(2, 1)
+        assert narrowed(triangle(), state, 3) == {2}
 
     def test_triangle_one_neighbor_colored(self):
-        pa = PartialAssignment(3)
-        pa.assign(1, 0)
-        assert narrowed_domain(triangle(), pa, 3) == {1, 2}
+        state = NogoodState(triangle())
+        state.assign(1, 0)
+        assert narrowed(triangle(), state, 3) == {1, 2}
 
     def test_no_nogoods_full_domain(self):
         inst = CspInstance(2, 3)
-        pa = PartialAssignment(2)
-        assert narrowed_domain(inst, pa, 1) == {0, 1, 2}
-        assert not is_narrowly_chosen(inst, pa, 1)
+        assert NogoodState(inst).forbidden(1) == set()
+        assert narrowed(inst, NogoodState(inst), 1) == {0, 1, 2}
 
     def test_unary_nogood_forbids_unconditionally(self):
         inst = CspInstance(2, 2, [Nogood([(1, 0)])])
-        pa = PartialAssignment(2)
-        assert narrowed_domain(inst, pa, 1) == {1}
-        assert is_narrowly_chosen(inst, pa, 1)
+        assert narrowed(inst, NogoodState(inst), 1) == {1}
 
     def test_arity_zero_empties_every_domain(self):
+        # an arity-0 nogood names no variable: the kernel reports it as
+        # matched from the start, which empties every domain
         inst = CspInstance(2, 3, [Nogood([])])
-        pa = PartialAssignment(2)
-        assert narrowed_domain(inst, pa, 1) == set()
-        assert narrowed_domain(inst, pa, 2) == set()
-
-    def test_assigned_variable_rejected(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 0)
-        with pytest.raises(ValueError, match="assigned"):
-            narrowed_domain(CspInstance(2, 2), pa, 1)
+        state = NogoodState(inst)
+        assert state.matched == 1
+        assert state.forbidden(1) == state.forbidden(2) == set()
+        assert brute_narrowed_domain(inst, {}, 1) == set()
 
     def test_matches_reference_implementation_on_fuzz(self):
         rng = random.Random(4101)
@@ -172,16 +234,14 @@ class TestNarrowedDomain:
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
             prefix_len = rng.randrange(inst.n)
-            pa = PartialAssignment(inst.n)
+            state = NogoodState(inst)
             assigned = {}
             for y in order[:prefix_len]:
                 value = rng.randrange(inst.d)
-                pa.assign(y, value)
+                state.assign(y, value)
                 assigned[y] = value
             for y in order[prefix_len:]:
-                assert narrowed_domain(inst, pa, y) == brute_narrowed_domain(
-                    inst, assigned, y
-                )
+                assert narrowed(inst, state, y) == brute_narrowed_domain(inst, assigned, y)
 
     def test_solution_safety_on_fuzz(self):
         # a solution's own value never gets narrowed away along any prefix
@@ -195,38 +255,30 @@ class TestNarrowedDomain:
             X = rng.choice(solutions)
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
-            pa = PartialAssignment(inst.n)
+            state = NogoodState(inst)
             for y in order:
-                assert X[y - 1] in narrowed_domain(inst, pa, y)
-                pa.assign(y, X[y - 1])
+                assert X[y - 1] not in state.forbidden(y)
+                state.assign(y, X[y - 1])
             checked += 1
 
 
 class TestPartialAssignment:
-    def test_assign_tracks_count(self):
-        pa = PartialAssignment(3)
-        pa.assign(2, 1)
-        assert pa.is_assigned(2) and not pa.is_assigned(1)
-        assert pa.value(2) == 1 and pa.assigned_count == 1
-        pa.unassign(2)
-        assert not pa.is_assigned(2) and pa.assigned_count == 0
-
-    def test_double_assign_rejected(self):
-        pa = PartialAssignment(2)
-        pa.assign(1, 0)
-        with pytest.raises(ValueError):
-            pa.assign(1, 1)
-        with pytest.raises(ValueError):
-            pa.unassign(2)
-
+    # a partial assignment lives in NogoodState.values; it is read as a
+    # total assignment only once every variable is set
     def test_as_tuple_requires_total(self):
-        pa = PartialAssignment(2)
-        with pytest.raises(ValueError):
-            pa.as_tuple()
-        pa.assign(1, 0)
-        pa.assign(2, 1)
-        assert pa.as_tuple() == (0, 1)
-        assert PartialAssignment.from_values((0, 1)).as_tuple() == (0, 1)
+        inst = CspInstance(2, 2, [Nogood([(1, 0), (2, 0)])])
+        state = NogoodState(inst)
+        with pytest.raises(ValueError, match="total"):
+            is_satisfying(inst, state.values[1:])
+        state.assign(1, 0)
+        with pytest.raises(ValueError, match="total"):
+            is_satisfying(inst, state.values[1:])
+        state.assign(2, 1)
+        assert tuple(state.values[1:]) == (0, 1)
+        assert is_satisfying(inst, state.values[1:])
+        state.unassign(2)
+        state.assign(2, 0)
+        assert not is_satisfying(inst, state.values[1:])
 
 
 class TestParsing:

@@ -8,14 +8,11 @@ import pytest
 from kcsp import (
     CspInstance,
     Nogood,
-    NarrowTracker,
-    PartialAssignment,
     PointSet,
     avg_narrow_count,
     critical_points,
     enumerate_solutions,
     isolation_degrees,
-    narrowed_domain,
     verify_lemma2,
 )
 from kcsp.generators import gen_coloring, gen_nqueens, gen_uniform
@@ -240,34 +237,6 @@ class TestVerifyLemma2:
             points = rng.sample(universe, rng.randint(1, min(len(universe), 12)))
             holds, lhs = verify_lemma2(PointSet.of(points, n, d))
             assert holds and lhs >= d**n
-
-
-class TestNarrowTracker:
-    def test_agrees_with_narrowed_domain_along_random_walks(self):
-        rng = random.Random(558)
-        for _ in range(200):
-            inst = random_instance(rng)
-            tracker = NarrowTracker(inst)
-            tracker.reset()
-            pa = PartialAssignment(inst.n)
-            order = list(range(1, inst.n + 1))
-            rng.shuffle(order)
-            for y in order:
-                expected = narrowed_domain(inst, pa, y)
-                assert tracker.narrowed_domain(y) == expected
-                assert tracker.is_narrow(y) == (len(expected) < inst.d)
-                value = rng.randrange(inst.d)
-                tracker.assign(y, value)
-                pa.assign(y, value)
-
-    def test_reset_restores_initial_state(self):
-        inst = pair_forcing()
-        tracker = NarrowTracker(inst)
-        tracker.reset()
-        before = tracker.narrowed_domain(1)
-        tracker.assign(1, 1)
-        tracker.reset()
-        assert tracker.narrowed_domain(1) == before == {1}
 
 
 class TestAvgNarrowCount:

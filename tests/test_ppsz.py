@@ -7,20 +7,17 @@ import pytest
 from kcsp import (
     CspInstance,
     Nogood,
-    PartialAssignment,
     bound_variable_domain_ppsz,
     is_satisfying,
-    narrowed_domain,
     repeat_count,
-    run_iteration,
     solve_ppsz,
     success_lower_bound,
 )
+from kcsp.core import NogoodState
 from kcsp.harness import corpus
 from kcsp.ppsz import _iterate, _splitmix64, derive_seed
-from kcsp.oracle import NarrowTracker
 
-from bruteforce import exact_iteration_success
+from bruteforce import brute_narrowed_domain, exact_iteration_success
 from conftest import random_instance
 
 
@@ -28,18 +25,23 @@ def pair_forcing():
     return CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
 
 
+def run_iteration(instance, rng):
+    """One engine pass; the assignment or None."""
+    return _iterate(instance, NogoodState(instance), rng)[0]
+
+
 def naive_iteration(instance, rng):
-    """Reference pass built on core.narrowed_domain, mirroring the engine's
-    randomness discipline call for call."""
+    """Reference pass built on bruteforce.brute_narrowed_domain, mirroring
+    the engine's randomness discipline call for call."""
     n, d = instance.n, instance.d
     if any(ng.arity == 0 for ng in instance.nogoods):
         return None, 1
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    pa = PartialAssignment(n)
+    assigned = {}
     narrow = 0
     for y in order:
-        domain = narrowed_domain(instance, pa, y)
+        domain = brute_narrowed_domain(instance, assigned, y)
         if len(domain) < d:
             narrow += 1
             if not domain:
@@ -48,8 +50,8 @@ def naive_iteration(instance, rng):
             value = choices[rng.randrange(len(choices))]
         else:
             value = rng.randrange(d)
-        pa.assign(y, value)
-    return pa.as_tuple(), narrow
+        assigned[y] = value
+    return tuple(assigned[v] for v in range(1, n + 1)), narrow
 
 
 class TestRunIteration:
@@ -64,8 +66,15 @@ class TestRunIteration:
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_arity_zero_always_aborts(self):
-        inst = CspInstance(2, 2, [Nogood([])])
-        assert run_iteration(inst, random.Random(0)) is None
+        # aborts before drawing anything, with one narrowed variable
+        nogood_lists = [[Nogood([])], [Nogood([(1, 0)]), Nogood([])]]
+        for inst in (CspInstance(3, 2, nogoods) for nogoods in nogood_lists):
+            rng = random.Random(0)
+            state = rng.getstate()
+            assert _iterate(inst, NogoodState(inst), rng) == (None, 1)
+            assert rng.getstate() == state
+            stats = solve_ppsz(inst, max_repeats=5, seed=0)
+            assert stats.status == "FAILURE" and stats.narrow_histogram == {1: 5}
 
     def test_completed_iterations_always_satisfy(self):
         # narrowing removes exactly the values that would finish a nogood,
@@ -75,14 +84,14 @@ class TestRunIteration:
             inst = random_instance(rng)
             result = run_iteration(inst, random.Random(rng.randrange(2**32)))
             if result is not None:
-                assert is_satisfying(inst, PartialAssignment.from_values(result))
+                assert is_satisfying(inst, result)
 
     def test_engine_matches_reference_pass(self):
         rng = random.Random(809)
         for _ in range(200):
             inst = random_instance(rng)
             seed = rng.randrange(2**32)
-            engine = _iterate(inst, NarrowTracker(inst), random.Random(seed))
+            engine = _iterate(inst, NogoodState(inst), random.Random(seed))
             reference = naive_iteration(inst, random.Random(seed))
             assert engine == reference
 
@@ -133,7 +142,7 @@ class TestSolvePpsz:
                 continue
             stats = solve_ppsz(inst, seed=2024)
             if stats.status == "SAT":
-                assert is_satisfying(inst, PartialAssignment.from_values(stats.assignment))
+                assert is_satisfying(inst, stats.assignment)
                 assert stats.iterations_used <= stats.max_repeats
 
     def test_failure_on_unsat(self):
