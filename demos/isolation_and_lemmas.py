@@ -50,7 +50,7 @@ for trial in range(5):
 # variable is narrowly chosen when some nogood already forbids one of
 # its values.  Averaged over all orders, the count is at least J/k.
 forcing = CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
-result = avg_narrow_count(forcing, (1, 1), mode="exhaustive")
+result = avg_narrow_count(forcing, (1, 1))
 print("\nforcing instance, solution (1,1):")
 print(f"  exact average narrow count = {result.average} over {result.orders} orders")
 print(f"  lower bound J/k = {Fraction(result.j, forcing.k_max)}")

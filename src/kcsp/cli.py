@@ -88,7 +88,11 @@ def _cmd_gen(args) -> int:
         print(f"error: gen {args.family} requires --{' --'.join(missing)}", file=sys.stderr)
         return 2
     params = {param: getattr(args, flag) for param, flag in flags.items()}
-    instance = GenSpec(args.family, params, args.seed).build()
+    try:
+        instance = GenSpec(args.family, params, args.seed).build()
+    except ValueError as exc:  # the generators check their own ranges: a bad flag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _write_text(serialize_instance(instance), args.out)
     return 0
 

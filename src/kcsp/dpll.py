@@ -59,7 +59,8 @@ class _Search:
         if chosen < 0:
             # every nogood killed: any completion satisfies; take zeros
             completion = tuple(v if v is not None else 0 for v in values[1:])
-            assert is_satisfying(self.instance, completion)
+            if not is_satisfying(self.instance, completion):
+                raise RuntimeError(f"DPLL completion {completion} matches a nogood")
             return completion
         pairs = [(v, a) for v, a in self.pair_lists[chosen] if values[v] is None]
         d = self.instance.d

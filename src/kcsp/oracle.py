@@ -1,28 +1,24 @@
-"""Brute-force ground truth: exhaustive enumeration, isolation degrees, and
-exact checks of the isolation-weight inequality and the narrow-choice average
-bound.
+"""Ground truth: exhaustive enumeration and isolation degrees, an exact
+integer check of the isolation-weight inequality, and the exact
+narrow-choice average, summed per variable from a solution's own nogoods.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
-from .core import CspInstance, NogoodState, is_satisfying
+from .core import CspInstance, is_satisfying
 
 DEFAULT_CAP = 1 << 24
 # enumerate_solutions refuses larger spaces whatever the cap: its mask
 # takes one byte per point.
 _MAX_POINTS = 1 << 28
 _DECODE_ROWS = 1 << 16
-EXHAUSTIVE_MAX_N = 8
-
-_Z99 = 2.5758293035489004
+_MAX_SHARED = 20  # avg_narrow_count's largest u
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,6 @@ class SolutionSet:
 
     def as_point_set(self) -> PointSet:
         return PointSet.of(self.solutions, self.n, self.d)
-
-    def isolation_of(self, X) -> int:
-        X = tuple(X)
-        try:
-            return self.isolation[self.solutions.index(X)]
-        except ValueError:
-            raise ValueError(f"{X} is not a solution") from None
 
 
 def _critical_dims(X: tuple, S, n: int, d: int) -> set[int]:
@@ -229,68 +218,51 @@ def verify_lemma2(S, n: int | None = None, d: int | None = None) -> tuple[bool, 
 
 @dataclass(frozen=True)
 class NarrowCountResult:
-    """Average number of narrowly chosen variables over assignment orders."""
+    """Exact average number of narrowly chosen variables over all n! orders."""
 
-    average: Fraction | float
-    ci99: tuple[float, float] | None
+    average: Fraction
     j: int
-    mode: str
     orders: int
 
 
-def avg_narrow_count(
-    instance: CspInstance,
-    X,
-    mode: str = "exhaustive",
-    trials: int | None = None,
-    seed: int | None = None,
-    cap: int = DEFAULT_CAP,
-) -> NarrowCountResult:
-    """Average narrow-choice count over variable orders that end at solution X.
+def avg_narrow_count(instance: CspInstance, X) -> NarrowCountResult:
+    """Exact average narrow-choice count over the n! variable orders that
+    assign solution X, and X's isolation degree j.
 
-    Exhaustive mode loops over all n! orders (n <= 8) and returns an exact
-    rational; sampled mode averages `trials` uniform orders and attaches a
-    99% normal-approximation confidence interval.  Also reports X's
-    isolation degree j, taken from the full solution enumeration.
+    A nogood that disagrees with X only at y forces y exactly when its
+    other variables come before y.  Changing X_y to a leaves the solution
+    set iff such a nogood holds (y, a), so j counts the variables that have
+    one, with no enumeration.  For each, the set T of U (the union of those
+    nogoods' other variables, u = |U|) placed before y has probability
+    |T|! (u - |T|)! / (u + 1)!; the sum runs over all 2^u sets T, and
+    ValueError is raised before any sum if some u exceeds 20.
     """
     X = tuple(X)
-    n = instance.n
-    if not is_satisfying(instance, X):
+    if not is_satisfying(instance, X) or not all(0 <= a < instance.d for a in X):
         raise ValueError(f"{X} does not satisfy the instance")
-    j = enumerate_solutions(instance, cap=cap).isolation_of(X)
-    state = NogoodState(instance)
-
-    def count_for(order) -> int:
-        # X satisfies the instance, so no nogood is ever matched and a
-        # variable is narrowly chosen exactly when some value is forbidden
-        state.reset()
-        count = 0
-        for y in order:
-            if state.forbidden(y):
-                count += 1
-            state.assign(y, X[y - 1])
-        return count
-
-    variables = list(range(1, n + 1))
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive mode supports n <= {EXHAUSTIVE_MAX_N}, got {n}")
-        total = 0
-        orders = 0
-        for order in permutations(variables):
-            total += count_for(order)
-            orders += 1
-        return NarrowCountResult(Fraction(total, orders), None, j, "exhaustive", orders)
-    if mode == "sampled":
-        if not trials or trials < 1:
-            raise ValueError("sampled mode requires trials >= 1")
-        rng = random.Random(seed)
-        counts = []
-        for _ in range(trials):
-            rng.shuffle(variables)
-            counts.append(count_for(variables))
-        mean = sum(counts) / trials
-        var = sum((c - mean) ** 2 for c in counts) / trials
-        half = _Z99 * math.sqrt(var / trials)
-        return NarrowCountResult(mean, (mean - half, mean + half), j, "sampled", trials)
-    raise ValueError(f"unknown mode {mode!r}")
+    # y -> the other-variable sets of the nogoods that disagree with X only at y
+    others: dict[int, list[set]] = {}
+    for ng in instance.nogoods:
+        off = [v for v, a in ng.pairs if X[v - 1] != a]
+        if len(off) == 1:
+            others.setdefault(off[0], []).append(set(ng.variables) - set(off))
+    shared = {y: sorted(set().union(*sets)) for y, sets in others.items()}
+    for y, U in shared.items():
+        if len(U) > _MAX_SHARED:
+            raise ValueError(f"variable {y} shares nogoods with {len(U)} others; max {_MAX_SHARED}")
+    orders = math.factorial(instance.n)
+    total = 0
+    for y, U in shared.items():
+        u = len(U)
+        size = np.zeros(1, dtype=np.int64)  # size[T] = |T|
+        for _ in U:
+            size = np.concatenate([size, size + 1])
+        T = np.arange(1 << u)  # bit i set: U[i] is placed before y
+        covered = np.zeros(1 << u, dtype=bool)
+        for vs in others[y]:
+            need = sum(1 << U.index(v) for v in vs)
+            covered |= (T & need) == need
+        by_size = np.bincount(size[covered], minlength=u + 1).tolist()
+        ways = sum(c * math.factorial(s) * math.factorial(u - s) for s, c in enumerate(by_size))
+        total += orders // math.factorial(u + 1) * ways
+    return NarrowCountResult(Fraction(total, orders), len(others), orders)

@@ -273,8 +273,21 @@ class TestErrors:
         code, _, err = run(
             capsys, "gen", "uniform", "--n", "2", "--d", "2", "--k", "2", "--m", "100"
         )
-        assert code == 3
+        assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["uniform", "--n", "2", "--d", "1", "--k", "2", "--m", "1"], "need d >= 2, got 1"),
+            (["nqueens", "--size", "0"], "need N >= 1, got 0"),
+        ],
+        ids=["d-1", "size-0"],
+    )
+    def test_gen_value_out_of_range(self, capsys, argv, message):
+        # a flag value out of range is a usage problem: one error line, exit 2
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

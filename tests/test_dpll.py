@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,24 @@ class TestVerdicts:
             assert (stats.status == "SAT") == bool(solutions)
             if stats.status == "SAT":
                 assert tuple(stats.assignment) in set(solutions)
+
+    def test_safety_check_survives_optimize_flag(self):
+        # python -O strips assert statements; with the check patched to
+        # reject every assignment, the solver must refuse, not answer SAT
+        script = (
+            "import kcsp.dpll as dpll\n"
+            "dpll.is_satisfying = lambda instance, values: False\n"
+            "try:\n"
+            "    print(dpll.solve_dpll(dpll.CspInstance(2, 2)).status)\n"
+            "except RuntimeError:\n"
+            "    print('refused')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout) == (0, "refused\n"), run.stderr
 
 
 class TestNodeCounts:

@@ -138,6 +138,25 @@ class TestVerifyCampaign:
             if record["k"]:
                 assert Fraction(record["average"]) >= Fraction(record["j"], record["k"])
 
+    def test_lemma1_whole_corpus(self):
+        result = verify_campaign("lemma1", seed=0, max_n=9)
+        assert result.verdict == "pass"
+        named = dict(corpus())
+        assert result.params["instances"] == list(named)
+        # j read off each solution's nogoods agrees with the enumeration
+        isolation = {}
+        for name, instance in named.items():
+            sols = enumerate_solutions(instance)
+            for X, j in zip(sols.solutions, sols.isolation):
+                isolation[name, X] = j
+        assert len(result.records) == len(isolation)
+        for record in result.records:
+            assert record["j"] == isolation[record["instance"], tuple(record["solution"])]
+        latin = [r for r in result.records if r["instance"] == "latin-3"]
+        assert len(latin) == 12
+        margin = min(Fraction(r["average"]) - Fraction(r["bound"]) for r in latin)
+        assert margin == Fraction(27, 10)
+
     def test_lemma1_covers_known_exact_case(self):
         named = dict(corpus())
         result = verify_campaign(

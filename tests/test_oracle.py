@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from kcsp import (
     isolation_degrees,
     verify_lemma2,
 )
+from kcsp import oracle
 from kcsp.generators import gen_coloring, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
 
@@ -116,13 +118,6 @@ class TestEnumerateSolutions:
         # axes of length 1 were kept
         for nogood in (Nogood([(64, 0), (65, 0)]), Nogood([(v, 0) for v in range(1, 141, 2)])):
             assert_matches_reference(CspInstance(140, 1, [nogood]))
-
-    def test_isolation_of_lookup(self):
-        sols = enumerate_solutions(pair_forcing())
-        assert sols.solutions == ((1, 1),)
-        assert sols.isolation_of((1, 1)) == 2
-        with pytest.raises(ValueError):
-            sols.isolation_of((0, 0))
 
 
 class TestCriticalPoints:
@@ -266,26 +261,38 @@ class TestAvgNarrowCount:
             if not solutions:
                 continue
             X = rng.choice(solutions)
-            assert avg_narrow_count(inst, X).average == brute_avg_narrow(inst, X)
+            result = avg_narrow_count(inst, X)
+            assert result.average == brute_avg_narrow(inst, X)
+            assert result.j == len(brute_critical_dims(X, solutions, inst.n, inst.d))
             checked += 1
 
-    def test_sampled_mode_brackets_exact_value(self):
-        inst = triangle()
-        X = enumerate_solutions(inst).solutions[0]
-        exact = avg_narrow_count(inst, X).average
-        sampled = avg_narrow_count(inst, X, mode="sampled", trials=4000, seed=11)
-        low, high = sampled.ci99
-        assert low <= float(exact) <= high
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_tight_family_meets_bound_exactly(self, m):
+        # nogood i disagrees with X = 0...0 only at 2i-1, which is narrowly
+        # chosen exactly when 2i comes first: half the orders
+        inst = CspInstance(2 * m, 2, [((2 * i - 1, 1), (2 * i, 0)) for i in range(1, m + 1)])
+        result = avg_narrow_count(inst, (0,) * (2 * m))
+        assert result.j == m and result.orders == math.factorial(2 * m)
+        assert result.average == Fraction(m, 2) == Fraction(result.j, inst.k_max)
 
-    def test_rejects_non_solution_and_large_n(self):
+    def test_rejects_non_solution_and_large_n(self, monkeypatch):
         with pytest.raises(ValueError, match="satisfy"):
             avg_narrow_count(pair_forcing(), (0, 0))
-        with pytest.raises(ValueError, match="n <= 8"):
-            avg_narrow_count(CspInstance(9, 2), (0,) * 9)
-        with pytest.raises(ValueError, match="trials"):
-            avg_narrow_count(CspInstance(2, 2), (0, 0), mode="sampled")
-        with pytest.raises(ValueError, match="mode"):
-            avg_narrow_count(CspInstance(2, 2), (0, 0), mode="guess")
+        with pytest.raises(ValueError, match="satisfy"):
+            avg_narrow_count(CspInstance(2, 2), (0, 2))
+        # n = 9 has no limit of its own
+        assert avg_narrow_count(CspInstance(9, 2), (0,) * 9).orders == math.factorial(9)
+        # the widest accepted sum: one nogood over 21 variables, so y = 1 is
+        # narrowly chosen only after the other 20, in 1 of 21 relative orders
+        inst = CspInstance(21, 2, [[(1, 1)] + [(v, 0) for v in range(2, 22)]])
+        result = avg_narrow_count(inst, (0,) * 21)
+        assert (result.average, result.j) == (Fraction(1, 21), 1)
+        # variable 1 shares binary nogoods with 21 others: refused before
+        # any sum, so numpy is never reached
+        inst = CspInstance(22, 2, [((1, 1), (v, 0)) for v in range(2, 23)])
+        monkeypatch.setattr(oracle, "np", None)
+        with pytest.raises(ValueError, match="variable 1 shares nogoods with 21 others"):
+            avg_narrow_count(inst, (0,) * 22)
 
 
 class TestQueensIsolation:
