@@ -104,9 +104,12 @@ class CspInstance:
 
 def is_satisfying(instance: CspInstance, values) -> bool:
     """True iff the total assignment `values` (variable v's value at index
-    v-1) matches no nogood in full."""
+    v-1) matches no nogood in full.  ValueError if it is partial or has a
+    value outside 0..d-1."""
     if len(values) != instance.n or None in values:
         raise ValueError("is_satisfying requires a total assignment")
+    if min(values) < 0 or max(values) >= instance.d:
+        raise ValueError(f"is_satisfying requires values in 0..{instance.d - 1}")
     for ng in instance.nogoods:
         if all(values[v - 1] == a for v, a in ng.pairs):
             return False

@@ -24,11 +24,12 @@ from .generators import GenSpec, gen_coloring, gen_latin, gen_nqueens, gen_unifo
 from .oracle import (
     DEFAULT_CAP,
     PointSet,
+    _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
     verify_lemma2,
 )
-from .ppsz import derive_seed, iterations, success_lower_bound
+from .ppsz import derive_seed, iteration_successes, success_lower_bound
 from .dpll import solve_dpll
 from .analysis import char_root
 from .version import __version__
@@ -146,14 +147,14 @@ def estimate_iteration_success(
         raise ValueError("trials must be at least 1")
     satisfiable = None
     if instance.d**instance.n <= cap:
-        satisfiable = len(enumerate_solutions(instance, cap=cap)) > 0
+        satisfiable = bool(_solution_mask(instance, cap).any())
     elif assume_satisfiable:
         satisfiable = True
     else:
         raise ValueError(
             "instance too large to oracle-check; pass assume_satisfiable=True"
         )
-    outcomes = [int(assignment is not None) for assignment, _ in iterations(instance, seed, trials)]
+    outcomes = iteration_successes(instance, seed, trials)
     successes = sum(outcomes)
     p_hat = successes / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -154,6 +154,30 @@ def _decode(codes: np.ndarray, n: int, d: int) -> tuple:
     return tuple(points)
 
 
+def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
+    """ok[c] is true iff the point with mixed-radix code c (variable 1 most
+    significant, so numeric order is lexicographic order) is a solution.
+
+    A space of more than `cap` points, or of more than 2^28 points (a
+    256 MiB mask) whatever the cap, is refused with ValueError before
+    anything is allocated.
+    """
+    n, d = instance.n, instance.d
+    total = d**n
+    if total > cap:
+        raise ValueError(f"search space d^n = {d}^{n} exceeds cap {cap}")
+    if total > _MAX_POINTS:
+        raise ValueError(
+            f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
+        )
+    # each nogood clears the block of points it matches in one strided write
+    ok = np.ones(total, dtype=bool)
+    for ng in instance.nogoods:
+        shape, index = _matching_block(ng.pairs, n, d)
+        ok.reshape(shape)[index] = False
+    return ok
+
+
 def enumerate_solutions(instance: CspInstance, cap: int = DEFAULT_CAP) -> SolutionSet:
     """Exhaustively list all satisfying total assignments, in lexicographic order.
 
@@ -166,20 +190,7 @@ def enumerate_solutions(instance: CspInstance, cap: int = DEFAULT_CAP) -> Soluti
     anything is allocated; the CLI reports that with exit code 3.
     """
     n, d = instance.n, instance.d
-    total = d**n
-    if total > cap:
-        raise ValueError(f"search space d^n = {d}^{n} exceeds cap {cap}")
-    if total > _MAX_POINTS:
-        raise ValueError(
-            f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
-        )
-    # ok[c] is the point with mixed-radix code c (variable 1 most
-    # significant, so numeric order is lexicographic order); each nogood
-    # clears the block of points it matches in one strided write.
-    ok = np.ones(total, dtype=bool)
-    for ng in instance.nogoods:
-        shape, index = _matching_block(ng.pairs, n, d)
-        ok.reshape(shape)[index] = False
+    ok = _solution_mask(instance, cap)
     codes = np.flatnonzero(ok)
 
     critical_dims = _critical_dims_of_mask(ok, codes, n, d)
@@ -238,7 +249,7 @@ def avg_narrow_count(instance: CspInstance, X) -> NarrowCountResult:
     ValueError is raised before any sum if some u exceeds 20.
     """
     X = tuple(X)
-    if not is_satisfying(instance, X) or not all(0 <= a < instance.d for a in X):
+    if not is_satisfying(instance, X):
         raise ValueError(f"{X} does not satisfy the instance")
     # y -> the other-variable sets of the nogoods that disagree with X only at y
     others: dict[int, list[set]] = {}

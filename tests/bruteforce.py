@@ -79,23 +79,30 @@ def brute_avg_narrow(instance, X) -> Fraction:
 def exact_iteration_success(instance) -> Fraction:
     """Exact probability that one randomized pass (uniform variable order,
     uniform value from each narrowed domain) ends in a satisfying total
-    assignment.  Exponential cost; only for tiny instances."""
-    n = instance.n
+    assignment.  Exponential cost; only for tiny instances.
 
-    def walk(order, idx, assigned) -> Fraction:
-        if idx == n:
+    In a uniform order, the next variable is uniform over the unassigned
+    ones whatever came before, so the chance of success from a partial
+    assignment depends on that assignment alone and is memoized on it.
+    """
+    n = instance.n
+    memo = {}
+
+    def expect(assigned: dict) -> Fraction:
+        if len(assigned) == n:
             point = tuple(assigned[v] for v in range(1, n + 1))
             return Fraction(int(brute_is_satisfying(instance, point)))
-        y = order[idx]
-        domain = brute_narrowed_domain(instance, assigned, y)
-        if not domain:
-            return Fraction(0)
-        total = Fraction(0)
-        for a in sorted(domain):
-            assigned[y] = a
-            total += walk(order, idx + 1, assigned)
-            del assigned[y]
-        return total / len(domain)
+        key = frozenset(assigned.items())
+        if key not in memo:
+            free = [y for y in range(1, n + 1) if y not in assigned]
+            total = Fraction(0)
+            for y in free:
+                domain = sorted(brute_narrowed_domain(instance, assigned, y))
+                for a in domain:
+                    assigned[y] = a
+                    total += expect(assigned) / len(domain)
+                    del assigned[y]
+            memo[key] = total / len(free)
+        return memo[key]
 
-    orders = list(permutations(range(1, n + 1)))
-    return sum(walk(order, 0, {}) for order in orders) / len(orders)
+    return expect({})

@@ -196,6 +196,11 @@ class TestIsSatisfying:
             with pytest.raises(ValueError, match="total"):
                 is_satisfying(CspInstance(2, 2), partial)
 
+    def test_rejects_values_outside_the_domain(self):
+        for values, nogoods in [((0, 2), []), ((-1, 7), [[(1, 0)]]), ((2, 0), [[(1, 1)]])]:
+            with pytest.raises(ValueError, match=r"values in 0\.\.1"):
+                is_satisfying(CspInstance(2, 2, nogoods), values)
+
 
 class TestNarrowedDomain:
     def test_triangle_two_neighbors_colored(self):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,29 @@ class TestEstimateIterationSuccess:
             big, trials=10, seed=0, cap=1 << 20, assume_satisfiable=True
         )
         assert result.verdict == "pass"  # no nogoods: every iteration succeeds
+
+
+    def test_existence_precheck_allocates_only_the_mask(self):
+        # 2^20 points and as many solutions: one byte each, no tuples
+        tracemalloc.start()
+        try:
+            result = estimate_iteration_success(CspInstance(20, 2), trials=10, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.params["satisfiable"] is True and result.verdict == "pass"
+        assert result.records == [1] * 10
+        assert peak < 4 * 2**20, peak
+
+    def test_precheck_refuses_past_the_point_limit_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="enumeration limit"):
+                estimate_iteration_success(CspInstance(30, 2), trials=1, seed=0, cap=1 << 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestNodeGrowthExperiment:

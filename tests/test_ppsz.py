@@ -1,13 +1,22 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import kcsp.ppsz as ppsz
 
 from kcsp import (
     CspInstance,
     Nogood,
     bound_variable_domain_ppsz,
+    estimate_iteration_success,
     is_satisfying,
     repeat_count,
     solve_ppsz,
@@ -15,9 +24,15 @@ from kcsp import (
 )
 from kcsp.core import NogoodState
 from kcsp.harness import corpus
-from kcsp.ppsz import _iterate, _splitmix64, derive_seed
+from kcsp.ppsz import _iterate, _splitmix64, derive_seed, iteration_successes
 
-from bruteforce import brute_narrowed_domain, exact_iteration_success
+from bruteforce import (
+    brute_is_satisfying,
+    brute_narrowed_domain,
+    brute_solutions,
+    exact_iteration_success,
+    matches,
+)
 from conftest import random_instance
 
 
@@ -94,6 +109,177 @@ class TestRunIteration:
             engine = _iterate(inst, NogoodState(inst), random.Random(seed))
             reference = naive_iteration(inst, random.Random(seed))
             assert engine == reference
+
+
+GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
+
+
+def reference_block_iteration(instance, seed, index):
+    """Iteration `index` of a block, replayed in plain Python: words t of
+    the splitmix64 stream from derive_seed(seed, index) are
+    _splitmix64(s + t * GOLDEN); words 1..n-1 drive a Fisher-Yates shuffle
+    and word n+t picks the value at position t among the sorted narrowed
+    domain.  The assignment, or None on an abort."""
+    n = instance.n
+    s = derive_seed(seed, index)
+    words = [_splitmix64((s + t * GOLDEN) % 2**64) for t in range(2 * n)]
+    order = list(range(1, n + 1))
+    for t in range(n - 1, 0, -1):
+        j = words[t] % (t + 1)
+        order[t], order[j] = order[j], order[t]
+    assigned = {}
+    for t, y in enumerate(order):
+        domain = sorted(brute_narrowed_domain(instance, assigned, y))
+        if not domain:
+            return None
+        assigned[y] = domain[words[n + t] % len(domain)]
+    return tuple(assigned[v] for v in range(1, n + 1))
+
+
+def replay_instances():
+    """corpus(), 200 fuzz instances, and arity-0, d = 1 and UNSAT extras."""
+    rng = random.Random(811)
+    instances = [inst for _, inst in corpus()]
+    instances += [random_instance(rng) for _ in range(200)]
+    instances += [
+        CspInstance(3, 2, [Nogood([(1, 0)]), Nogood([])]),
+        CspInstance(4, 1),
+        CspInstance(3, 1, [Nogood([(2, 0), (3, 0)])]),
+        CspInstance(2, 2, [Nogood([(1, a), (2, b)]) for a in range(2) for b in range(2)]),
+    ]
+    return instances
+
+
+class TestIterationBlocks:
+    def test_replays_reference_row_by_row(self, monkeypatch):
+        # the completed rows' assignments are read where the kernel's own
+        # safety check sees them; 7 rows per block leaves partial blocks
+        completed = []
+        rows_matching = ppsz._rows_matching
+
+        def recording(values, ng_vars, ng_vals):
+            completed.extend(tuple(row[1:]) for row in values.tolist())
+            return rows_matching(values, ng_vars, ng_vals)
+
+        monkeypatch.setattr(ppsz, "_rows_matching", recording)
+        monkeypatch.setattr(ppsz, "_BLOCK_ROWS", 7)
+        kinds = set()
+        for number, inst in enumerate(replay_instances()):
+            seed, count = 1000 + number, 30
+            completed.clear()
+            outcomes = iteration_successes(inst, seed, count)
+            reference = [reference_block_iteration(inst, seed, i) for i in range(1, count + 1)]
+            assert outcomes == [int(point is not None) for point in reference], number
+            assert completed == [point for point in reference if point is not None], number
+            assert all(brute_is_satisfying(inst, point) for point in completed)
+            kinds.add("sat" if any(outcomes) else "no success")
+            kinds.add("abort" if not all(outcomes) else "all complete")
+            if 0 in inst.arities:
+                kinds.add("arity 0")
+            if inst.d == 1:
+                kinds.add("d = 1")
+        assert kinds == {"sat", "no success", "abort", "all complete", "arity 0", "d = 1"}
+
+    @pytest.mark.parametrize("name", ["pair-forcing", "k3-d2", "queens-4", "uniform-4", "zero-arity"])
+    def test_records_do_not_depend_on_block_size(self, monkeypatch, name):
+        inst = dict(corpus())[name]
+        records = {}
+        for rows in (1, 7, ppsz._BLOCK_ROWS):
+            monkeypatch.setattr(ppsz, "_BLOCK_ROWS", rows)
+            records[rows] = estimate_iteration_success(inst, trials=300, seed=12).records
+        first, *rest = records.values()
+        assert all(other == first for other in rest)
+        assert len(first) == 300 and set(first) <= {0, 1}
+
+    def test_estimates_match_exact_probability(self):
+        # z = 5, the benchmark's: with dozens of checks per run, a 99%
+        # interval would fail an honest one about once in a hundred
+        trials, checked = 20_000, 0
+        for name, inst in corpus():
+            if inst.n > 6 or not brute_solutions(inst):
+                continue
+            p = exact_iteration_success(inst)
+            result = estimate_iteration_success(inst, trials=trials, seed=31)
+            se = math.sqrt(p * (1 - p) / trials)
+            assert abs(result.stats["p_hat"] - p) <= 5 * se + 1e-12, name
+            checked += 1
+        assert checked == 17
+
+    def test_rows_matching_follows_the_definition(self):
+        rng = random.Random(812)
+        for _ in range(100):
+            inst = random_instance(rng)
+            _, _, ng_vars, ng_vals = ppsz._block_tables(inst)
+            points = [tuple(rng.randrange(inst.d) for _ in range(inst.n)) for _ in range(6)]
+            values = np.array([(0, *point) for point in points])
+            expected = [any(matches(ng.pairs, point) for ng in inst.nogoods) for point in points]
+            assert ppsz._rows_matching(values, ng_vars, ng_vals).tolist() == expected
+
+    def test_numpy_random_is_never_imported(self):
+        script = (
+            "import sys\n"
+            "import kcsp\n"
+            "inst = dict(kcsp.corpus())['k3-d2']\n"
+            "kcsp.estimate_iteration_success(inst, trials=2000, seed=1)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+        )
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+    def test_memory_bounded_on_many_nogoods(self):
+        # 24,000 ternary nogoods: 1,024 rows would need a 24 MB status array
+        rng = random.Random(813)
+        nogoods = set()
+        while len(nogoods) < 24_000:
+            u, v, w = rng.sample(range(1, 41), 3)
+            pairs = ((u, rng.randrange(1, 3)), (v, rng.randrange(3)), (w, rng.randrange(3)))
+            nogoods.add(tuple(sorted(pairs)))
+        inst = CspInstance(40, 3, nogoods)
+        inst.by_var, inst.arities  # cached on the instance, outside the trace
+        tracemalloc.start()
+        try:
+            result = estimate_iteration_success(
+                inst, trials=200, seed=0, cap=1 << 20, assume_satisfiable=True
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 200
+        assert peak < 6 * 2**20, peak
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src}
+
+
+class TestSafetyChecks:
+    def test_both_paths_refuse_under_optimize_flag(self):
+        # python -O strips assert statements; with each check patched to
+        # report a nogood match, both paths must raise, not report success
+        script = (
+            "import numpy as np\n"
+            "import kcsp.ppsz as ppsz\n"
+            "from kcsp import CspInstance, estimate_iteration_success\n"
+            "real = ppsz.is_satisfying\n"
+            "ppsz.is_satisfying = lambda instance, values: False\n"
+            "try:\n"
+            "    print(ppsz.solve_ppsz(CspInstance(2, 2), seed=0).status)\n"
+            "except RuntimeError:\n"
+            "    print('refused')\n"
+            "ppsz.is_satisfying = real\n"
+            "ppsz._rows_matching = lambda values, *table: np.ones(len(values), dtype=bool)\n"
+            "try:\n"
+            "    print(estimate_iteration_success(CspInstance(2, 2), trials=5, seed=0).verdict)\n"
+            "except RuntimeError:\n"
+            "    print('refused')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=_src_env()
+        )
+        assert (run.returncode, run.stdout) == (0, "refused\nrefused\n"), run.stderr
 
 
 class TestExactSuccessProbability:
