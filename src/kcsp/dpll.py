@@ -6,6 +6,11 @@ branches u_i over every value other than a_i (with u_1..u_{i-1} pinned to
 the nogood's own values), then pins u_i := a_i and moves to position i+1.
 Once every pair is pinned the nogood is matched, so the node fails.  This
 yields at most t*(d-1) child branches per node.
+
+A child whose value `NogoodState.forbidden(u)` names would complete a live
+nogood and fail at once, so it is counted as a visited node (at depth + 1)
+without being assigned and unwound.  The tree and every node count are
+those of the plain assign-recurse-unassign loop.
 """
 
 from __future__ import annotations
@@ -67,8 +72,15 @@ class _Search:
         assign, unassign = state.assign, state.unassign
         pinned = 0
         for u, a in pairs:
+            blocked = state.forbidden(u)
             for value in range(d):
                 if value == a:
+                    continue
+                if value in blocked:
+                    # the child matches a nogood: count it, skip its search
+                    self.nodes += 1
+                    if depth >= self.max_depth:
+                        self.max_depth = depth + 1
                     continue
                 assign(u, value)
                 result = self.run(depth + 1)

@@ -142,6 +142,10 @@ def estimate_iteration_success(
     error, so a true probability at or above the bound fails spuriously
     with probability under 0.2%.  Unsatisfiable input gets "not-applicable"
     (the bound only speaks to satisfiable instances).
+
+    Satisfiability is read off the exact oracle, which refuses d^n above
+    `cap` with ValueError; a library caller who knows the instance is
+    satisfiable may pass assume_satisfiable=True to skip the check.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -152,7 +156,8 @@ def estimate_iteration_success(
         satisfiable = True
     else:
         raise ValueError(
-            "instance too large to oracle-check; pass assume_satisfiable=True"
+            f"d^n = {instance.d}^{instance.n} exceeds the oracle cap {cap}, "
+            "so satisfiability cannot be checked"
         )
     outcomes = iteration_successes(instance, seed, trials)
     successes = sum(outcomes)

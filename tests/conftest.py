@@ -1,6 +1,6 @@
 import random
 
-from kcsp import CspInstance, Nogood
+from kcsp import CspInstance, Nogood, gen_uniform
 
 
 def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspInstance:
@@ -14,3 +14,16 @@ def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspIn
         variables = rng.sample(range(1, n + 1), arity)
         nogoods.append(Nogood([(v, rng.randrange(d)) for v in variables]))
     return CspInstance(n, d, nogoods)
+
+
+def uniform_sample_500() -> list[CspInstance]:
+    """Criterion 1's 500 seeded instances: n 4..12, d 2..4, k 2..3, d^n <= 2^16."""
+    rng = random.Random(20260814)
+    instances = []
+    for i in range(500):
+        n = rng.randint(4, 12)
+        d = rng.choice([d for d in (2, 3, 4) if d**n <= 1 << 16])
+        k = rng.choice([2, 3])
+        m = rng.randint(1, 4 * n)
+        instances.append(gen_uniform(n, d, k, m, seed=1000 + i))
+    return instances

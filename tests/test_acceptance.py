@@ -27,6 +27,8 @@ from kcsp import (
 )
 from kcsp.cli import cli_dispatch
 
+from conftest import uniform_sample_500
+
 
 def _report(capsys, label, ok, detail):
     with capsys.disabled():
@@ -34,23 +36,10 @@ def _report(capsys, label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
-def _uniform_sample_500():
-    """500 seeded instances spanning n 4..12, d 2..4, k 2..3, d^n <= 2^16."""
-    rng = random.Random(20260814)
-    instances = []
-    for i in range(500):
-        n = rng.randint(4, 12)
-        d = rng.choice([d for d in (2, 3, 4) if d**n <= 1 << 16])
-        k = rng.choice([2, 3])
-        m = rng.randint(1, 4 * n)
-        instances.append(gen_uniform(n, d, k, m, seed=1000 + i))
-    return instances
-
-
 def test_criterion_1_dpll_matches_oracle(capsys):
     start = time.perf_counter()
     checked = 0
-    for instance in _uniform_sample_500() + [inst for _, inst in corpus()]:
+    for instance in uniform_sample_500() + [inst for _, inst in corpus()]:
         solutions = enumerate_solutions(instance)
         stats = solve_dpll(instance)
         expected = "SAT" if len(solutions) > 0 else "UNSAT"

@@ -238,6 +238,17 @@ class TestBench:
         assert code == 0
         assert json.loads(out)["verdict"] == "not-applicable"
 
+    def test_prob_instance_past_the_oracle_cap(self, capsys, tmp_path):
+        # the message states the limit; it names no library keyword
+        path = tmp_path / "wide.csp"
+        path.write_text("p csp 30 2\n")
+        code, out, err = run(capsys, "bench", "prob", "--instance", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: d^n = 2^30 exceeds the oracle cap 16777216, "
+            "so satisfiability cannot be checked\n"
+        )
+
     def test_growth_tiny(self, capsys):
         code, out, _ = run(
             capsys, "bench", "growth", "--n", "8..10", "--per-n", "4", "--seed", "2"

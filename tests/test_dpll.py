@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,27 +10,102 @@ import pytest
 from kcsp import (
     CspInstance,
     Nogood,
+    gen_nqueens,
     is_satisfying,
     solve_dpll,
 )
+from kcsp.core import NogoodState
 from kcsp.generators import gen_coloring, gen_uniform
 from kcsp.harness import corpus
 
 from bruteforce import brute_solutions
-from conftest import random_instance
+from conftest import random_instance, uniform_sample_500
 
 
 def recurrence_bound(n: int, d: int, k: int) -> int:
-    """U(j) = 1 + (d-1) * sum_{i=1..k} U(j-i), U(j<=0) = 1: a full-tree
-    node-count ceiling for any instance with max arity k."""
+    """The solver's own recurrence T(m) = 1 + (d-1) * sum_{i=1..min(k,m)} T(m-i),
+    T(0) = 1: a node at m unassigned variables branches on at most min(k, m)
+    pairs, and the child of pair i has m - i unassigned variables."""
+    T = [1]
+    for m in range(1, n + 1):
+        T.append(1 + (d - 1) * sum(T[m - i] for i in range(1, min(k, m) + 1)))
+    return T[n]
 
-    @lru_cache(maxsize=None)
-    def U(j: int) -> int:
-        if j <= 0:
-            return 1
-        return 1 + (d - 1) * sum(U(j - i) for i in range(1, k + 1))
 
-    return U(n)
+def reference_dpll(instance: CspInstance):
+    """The solver's search as a plain loop: every child is assigned,
+    searched and unassigned, including those that fail at once.
+    Returns (status, assignment, nodes, max_depth)."""
+    state = NogoodState(instance)
+    pair_lists = [ng.pairs for ng in instance.nogoods]
+    nodes = max_depth = 0
+
+    def select():
+        live = [
+            (state.left[j], j)
+            for j in range(len(pair_lists))
+            if state.left[j] > 0 and state.bad[j] == 0
+        ]
+        return min(live)[1] if live else -1
+
+    def run(depth):
+        nonlocal nodes, max_depth
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        if state.matched > 0:
+            return None
+        chosen = select()
+        if chosen < 0:
+            return tuple(v if v is not None else 0 for v in state.values[1:])
+        pairs = [(v, a) for v, a in pair_lists[chosen] if state.values[v] is None]
+        for u, a in pairs:
+            for value in range(instance.d):
+                if value == a:
+                    continue
+                state.assign(u, value)
+                result = run(depth + 1)
+                if result is not None:
+                    return result
+                state.unassign(u)
+            state.assign(u, a)
+        for u, _ in reversed(pairs):
+            state.unassign(u)
+        return None
+
+    assignment = run(0)
+    status = "UNSAT" if assignment is None else "SAT"
+    return status, assignment, nodes, max_depth
+
+
+def pigeonhole(pigeons: int, holes: int) -> CspInstance:
+    """PHP(p, h): pigeon i sits in hole x_i, and no two pigeons share a hole."""
+    nogoods = [
+        Nogood([(i, a), (j, a)])
+        for i in range(1, pigeons + 1)
+        for j in range(i + 1, pigeons + 1)
+        for a in range(holes)
+    ]
+    return CspInstance(pigeons, holes, nogoods)
+
+
+def fuzz_instances(count: int = 300) -> list[CspInstance]:
+    """Seeded small instances, sparse and dense; every tenth has d = 1 and
+    every tenth other one an arity-0 nogood."""
+    rng = random.Random(324)
+    instances = []
+    for i in range(count):
+        if i % 2:
+            n, d, k = rng.randint(4, 8), rng.randint(2, 4), rng.randint(2, 3)
+            inst = gen_uniform(n, d, k, rng.randint(n, 5 * n), seed=i)
+        else:
+            inst = random_instance(rng, max_n=6, max_d=4)
+        if i % 10 == 3:
+            unary_domain = [Nogood([(v, 0) for v, _ in ng.pairs]) for ng in inst.nogoods[:2]]
+            inst = CspInstance(inst.n, 1, unary_domain)
+        elif i % 10 == 7:
+            inst = CspInstance(inst.n, inst.d, [*inst.nogoods, Nogood([])])
+        instances.append(inst)
+    return instances
 
 
 class TestVerdicts:
@@ -102,22 +176,37 @@ class TestNodeCounts:
                 assert getattr(first, field.name) == getattr(second, field.name), field.name
 
     @pytest.mark.parametrize(
-        "name,expected",
+        "name,status,nodes,max_depth",
         [
-            ("pair-forcing", 3),
-            ("unary-chain", 4),
-            ("zero-arity", 1),
-            ("empty-2-2", 1),
-            ("all-pairs-3-2", 4),
-            ("queens-2", 4),
-            ("queens-3", 13),
-            ("pigeon-4-3", 33),
+            pytest.param(*case, id=f"{case[0]}-{case[2]}")
+            for case in [
+                ("pair-forcing", "SAT", 3, 2),
+                ("unary-chain", "SAT", 4, 3),
+                ("zero-arity", "UNSAT", 1, 0),
+                ("empty-2-2", "SAT", 1, 0),
+                ("all-pairs-3-2", "UNSAT", 4, 2),
+                ("queens-2", "UNSAT", 4, 2),
+                ("queens-3", "UNSAT", 13, 3),
+                ("pigeon-4-3", "UNSAT", 33, 4),
+                ("php-5-4", "UNSAT", 196, 5),
+                ("php-6-5", "UNSAT", 1305, 6),
+                ("php-7-6", "UNSAT", 9786, 7),
+                ("queens-8", "SAT", 170, 8),
+                ("queens-10", "SAT", 992, 10),
+            ]
         ],
     )
-    def test_frozen_counts(self, name, expected):
+    def test_frozen_counts(self, name, status, nodes, max_depth):
         # regression freeze: the branching order is part of the contract
-        inst = dict(corpus())[name]
-        assert solve_dpll(inst).nodes == expected
+        named = dict(corpus())
+        if name in named:
+            inst = named[name]
+        elif name.startswith("php-"):
+            inst = pigeonhole(*map(int, name.split("-")[1:]))
+        else:
+            inst = gen_nqueens(int(name.split("-")[1]))
+        stats = solve_dpll(inst)
+        assert (stats.status, stats.nodes, stats.max_depth) == (status, nodes, max_depth)
 
     def test_all_pairs_instance_within_recurrence(self):
         inst = gen_uniform(3, 2, 2, 12, seed=7)
@@ -126,14 +215,15 @@ class TestNodeCounts:
 
     def test_recurrence_bound_on_fuzz(self):
         rng = random.Random(322)
-        for _ in range(150):
-            inst = random_instance(rng, max_n=5, max_d=3)
-            if inst.k_max == 0:
-                assert solve_dpll(inst).nodes == 1
-            else:
-                assert solve_dpll(inst).nodes <= recurrence_bound(
-                    inst.n, inst.d, inst.k_max
-                )
+        fuzz = [random_instance(rng, max_n=5, max_d=3) for _ in range(150)]
+        for inst in fuzz + fuzz_instances():
+            assert solve_dpll(inst).nodes <= recurrence_bound(inst.n, inst.d, inst.k_max)
+
+    def test_recurrence_bound_on_corpus_and_criterion_1_sample(self):
+        instances = [inst for _, inst in corpus()] + uniform_sample_500()
+        for i, inst in enumerate(instances):
+            nodes = solve_dpll(inst).nodes
+            assert nodes <= recurrence_bound(inst.n, inst.d, inst.k_max), i
 
     def test_nodes_at_least_one_and_depth_bounded(self):
         rng = random.Random(323)
@@ -142,3 +232,36 @@ class TestNodeCounts:
             stats = solve_dpll(inst)
             assert stats.nodes >= 1
             assert 0 <= stats.max_depth <= inst.n
+
+
+class TestBlockedChildren:
+    """A child whose value `forbidden(u)` names is counted, never searched."""
+
+    def parity_set(self):
+        yield from (inst for _, inst in corpus())
+        yield from fuzz_instances()
+        yield from (pigeonhole(p, p - 1) for p in range(4, 8))
+        yield from (gen_nqueens(size) for size in range(4, 11))
+
+    def test_same_tree_as_the_plain_loop(self):
+        checked = 0
+        for inst in self.parity_set():
+            stats = solve_dpll(inst)
+            got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            assert got == reference_dpll(inst), checked
+            checked += 1
+        assert checked == len(corpus()) + 300 + 4 + 7
+
+    def test_blocked_children_are_not_assigned(self, monkeypatch):
+        calls = 0
+        assign = NogoodState.assign
+
+        def counting(state, var, value):
+            nonlocal calls
+            calls += 1
+            assign(state, var, value)
+
+        monkeypatch.setattr(NogoodState, "assign", counting)
+        stats = solve_dpll(pigeonhole(6, 5))
+        # the plain loop makes 1,630 assign calls for these 1,305 nodes
+        assert stats.nodes == 1305 and calls < stats.nodes

@@ -90,7 +90,7 @@ class TestEstimateIterationSuccess:
         with pytest.raises(ValueError):
             estimate_iteration_success(CspInstance(2, 2), trials=0, seed=0)
         big = CspInstance(40, 3)
-        with pytest.raises(ValueError, match="assume_satisfiable"):
+        with pytest.raises(ValueError, match=r"d\^n = 3\^40 exceeds the oracle cap 1048576"):
             estimate_iteration_success(big, trials=10, seed=0, cap=1 << 20)
         result = estimate_iteration_success(
             big, trials=10, seed=0, cap=1 << 20, assume_satisfiable=True
