@@ -7,6 +7,10 @@ d*k/(k+1) and keeps the same dominant root.  That root lies strictly
 between d - 1/d^{k-1} and d - (d-1)/d^k, so the branching bound base
 d - (d-1)/d^k is safe, and the randomized solver's base
 d*((d-1)/d)^{1/k} is the smaller of the two for every d, k >= 2.
+
+The root is found by bisection on dyadic rationals d*N/((k+1)*2^s), whose
+sign tests run on exact integers; every inequality it reports is checked
+on exact Fractions.
 """
 
 from __future__ import annotations
@@ -51,9 +55,14 @@ class RootResult:
 def char_root(d: int, k: int) -> RootResult:
     """Bisect g on (d*k/(k+1), d) and certify d - 1/d^{k-1} < root < d - (d-1)/d^k.
 
-    All iterates are Fractions, so the sandwich comparison and the residuals
-    are exact; the final interval is narrow enough that |g| <= 1e-10 and the
-    certified bracket cannot be crossed by the reported midpoint.
+    The interval starts d/(k+1) wide and halves each step, so after the s
+    steps the tolerance asks for, every iterate is d*N/den with den =
+    (k+1)*2^s and N an integer.  The loop bisects N and reads the sign of
+    g(d*N/den)*den^{k+1}, an exact integer, so it visits the same iterates
+    an exact rational bisection would.  The bracket, the sandwich, the
+    residuals and the final containment are checked on exact Fractions;
+    the final interval is narrow enough that |g| <= 1e-10 and the certified
+    bracket cannot be crossed by the reported midpoint.
     """
     if d < 2 or k < 2:
         raise ValueError("char_root requires d >= 2 and k >= 2")
@@ -77,13 +86,20 @@ def char_root(d: int, k: int) -> RootResult:
         -g_lower / (2 * slope_cap),
         g_upper / (2 * slope_cap),
     )
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _g(mid, d, k) < 0:
-            lo = mid
+    # the least s with d/((k+1)*2^s) <= tol: where halving from width d/(k+1) stops
+    s = (math.ceil(Fraction(d, k + 1) / tol) - 1).bit_length()
+    den = (k + 1) << s
+    lo_n, hi_n = k << s, (k + 1) << s
+    d_den = d * den
+    offset = (d - 1) * den ** (k + 1)
+    for _ in range(s):
+        mid_n = (lo_n + hi_n) >> 1
+        x = d * mid_n
+        if x**k * (x - d_den) + offset < 0:
+            lo_n = mid_n
         else:
-            hi = mid
-    root = (lo + hi) / 2
+            hi_n = mid_n
+    root = Fraction(d * (lo_n + hi_n), 2 * den)
     if not (lower < root < upper):
         raise ArithmeticError("bisection result escaped the certified sandwich")
     return RootResult(

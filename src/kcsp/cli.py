@@ -166,16 +166,13 @@ def _cmd_verify(args) -> int:
     return 0 if result.verdict == "pass" else 1
 
 
-def _cmd_analyze(args) -> int:
-    d_values = args.d
-    k_values = args.k
-    rows = bound_table(d_values, k_values)
+def _analyze_lines(args) -> list[str]:
     header = ["d", "k", "char_root", "dpll_bound_base", "ppsz_bound_base", "smaller"]
     vardom = args.alpha is not None and args.n is not None
     if vardom:
         header += ["ln_dpll_bound_vardom", "ln_ppsz_bound_vardom"]
     lines = [",".join(header)]
-    for row in rows:
+    for row in bound_table(args.d, args.k):
         cells = [
             str(row.d),
             str(row.k),
@@ -188,14 +185,25 @@ def _cmd_analyze(args) -> int:
             cells.append(format(bound_variable_domain_dpll(args.n, args.alpha, args.epsilon), ".12g"))
             cells.append(format(bound_variable_domain_ppsz(args.n, args.alpha, row.k), ".12g"))
         lines.append(",".join(cells))
+    return lines
+
+
+def _cmd_analyze(args) -> int:
+    try:
+        lines = _analyze_lines(args)
+    except ValueError as exc:  # the analysis functions check their own ranges: a bad flag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
     if args.mode == "prob":
-        named = dict(corpus())
-        instance = named["triangle-3col"] if args.instance is None else load_instance(args.instance)
+        if args.instance is None:
+            instance = dict(corpus())["triangle-3col"]
+        else:
+            instance = load_instance(args.instance)
         result = estimate_iteration_success(instance, trials=args.trials, seed=args.seed)
     else:
         spec = GenSpec("uniform", {"d": args.d, "k": args.k, "m_per_n": args.m_per_n}, args.seed)

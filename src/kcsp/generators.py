@@ -131,9 +131,11 @@ def gen_nqueens(N: int) -> CspInstance:
     nogoods = []
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
+            t = j - i
             for a in range(N):
-                for b in range(N):
-                    if a == b or abs(a - b) == j - i:
+                # the columns of row j that a queen at (i, a) attacks, in increasing order
+                for b in (a - t, a, a + t):
+                    if 0 <= b < N:
                         nogoods.append(((i, a), (j, b)))
     return CspInstance(N, N, nogoods)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kcsp import (
+    RootResult,
     bound_table,
     bound_variable_domain_dpll,
     char_root,
@@ -13,6 +14,40 @@ from kcsp import (
 from kcsp.analysis import _f, _g
 
 GRID = [(d, k) for d in range(2, 11) for k in range(2, 11)]
+
+
+def reference_char_root(d: int, k: int) -> RootResult:
+    """char_root's bisection with every iterate a Fraction: halve (dk/(k+1), d)
+    until it is at most tol wide, testing the sign of g at each midpoint."""
+    lo, hi = Fraction(d * k, k + 1), Fraction(d)
+    lower = d - Fraction(1, d ** (k - 1))
+    upper = d - Fraction(d - 1, d**k)
+    slope_cap = (2 * k + 1) * d**k
+    tol = min(
+        Fraction(1, 10**13),
+        Fraction(1, 10**10 * slope_cap),
+        -_g(lower, d, k) / (2 * slope_cap),
+        _g(upper, d, k) / (2 * slope_cap),
+    )
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if _g(mid, d, k) < 0:
+            lo = mid
+        else:
+            hi = mid
+    root = (lo + hi) / 2
+    return RootResult(
+        d=d,
+        k=k,
+        lambda_=float(root),
+        residual_f=float(abs(_f(root, d, k))),
+        residual_g=float(abs(_g(root, d, k))),
+        lower_sandwich=float(lower),
+        upper_sandwich=float(upper),
+        root_exact=root,
+        lower_exact=lower,
+        upper_exact=upper,
+    )
 
 
 class TestCharRoot:
@@ -60,6 +95,12 @@ class TestCharRoot:
         x = result.root_exact
         assert abs(float(_f(x, 5, 4))) <= 1e-9
         assert _g(x, 5, 4) == (x - 1) * _f(x, 5, 4)
+
+    def test_matches_fraction_bisection(self):
+        # the integer sign test visits the same iterates: every field is equal
+        for d in range(2, 17):
+            for k in range(2, 17):
+                assert char_root(d, k) == reference_char_root(d, k), (d, k)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

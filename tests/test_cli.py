@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -218,6 +220,38 @@ class TestAnalyze:
         assert code == 0
         _, out, _ = run(capsys, "analyze", "--d", "2..3", "--k", "2")
         assert path.read_text() == out
+
+    def test_grid_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "analyze", "--d", "2..10", "--k", "2..10", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6b1a963e6c1cf1a3e9235366310c747f0c0bae8a99581915ad4e01d4a063b870"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--d", "1", "--k", "2"], "char_root requires d >= 2 and k >= 2"),
+            (["--d", "2", "--k", "1"], "char_root requires d >= 2 and k >= 2"),
+            (["--d", "2", "--k", "2", "--alpha", "0", "--n", "5"],
+             "need alpha > 0 and epsilon >= 0"),
+            (["--d", "2", "--k", "2", "--alpha", "1", "--n", "1"], "need n >= 2"),
+        ],
+        ids=["d-1", "k-1", "alpha-0", "n-1"],
+    )
+    def test_value_out_of_range(self, capsys, tmp_path, argv, message):
+        # a flag value out of range is a usage problem: one error line, exit 2, no file
+        path = tmp_path / "table.csv"
+        code, out, err = run(capsys, "analyze", *argv, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
+
+    def test_failed_certification_is_a_runtime_error(self, capsys, monkeypatch):
+        # a g that never changes sign fails char_root's bracket check: exit 3, not 2
+        monkeypatch.setattr("kcsp.analysis._g", lambda x, d, k: Fraction(1))
+        code, out, err = run(capsys, "analyze", "--d", "2", "--k", "2")
+        assert (code, out, err) == (3, "", "error: bisection bracket does not straddle the root\n")
 
 
 class TestBench:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from kcsp import (
+    CspInstance,
     GenSpec,
     gen_coloring,
     gen_latin,
@@ -114,10 +115,27 @@ class TestGenLatin:
             gen_latin(0)
 
 
+def reference_nqueens(N: int) -> CspInstance:
+    """gen_nqueens by testing every column pair (a, b) of every row pair."""
+    nogoods = []
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            for a in range(N):
+                for b in range(N):
+                    if a == b or abs(a - b) == j - i:
+                        nogoods.append(((i, a), (j, b)))
+    return CspInstance(N, N, nogoods)
+
+
 class TestGenNQueens:
     @pytest.mark.parametrize("N,count", [(1, 1), (2, 0), (3, 0), (4, 2), (5, 10), (6, 4)])
     def test_classic_solution_counts(self, N, count):
         assert len(brute_solutions(gen_nqueens(N))) == count
+
+    def test_matches_all_pairs_reference(self):
+        # same nogoods in the same order, so files and solver runs are unchanged
+        for N in range(1, 15):
+            assert gen_nqueens(N) == reference_nqueens(N), N
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
