@@ -7,17 +7,13 @@ Run from the repository root after installing the package:
 
 import math
 
-from kcsp import (
-    GenSpec,
-    estimate_iteration_success,
-    gen_coloring,
-    node_growth_experiment,
-)
+from kcsp import estimate_iteration_success, gen_coloring, node_growth_experiment
 
 # Backtracking node counts on an UNSAT-rich random family.  The fitted
 # slope of ln(median nodes) against n should stay below ln(lambda).
-spec = GenSpec("uniform", {"d": 2, "k": 2, "m_per_n": 4.0}, 0)
-result = node_growth_experiment(spec, n_values=range(8, 15), instances_per_n=20, seed=3)
+result = node_growth_experiment(
+    d=2, k=2, m_per_n=4.0, n_values=range(8, 15), instances_per_n=20, seed=3
+)
 
 print("node growth on gen_uniform(n, 2, 2, 4n), 20 instances per n:")
 medians = {int(n): median for n, median in result.stats["medians"].items()}

@@ -21,7 +21,7 @@ from .core import (
     save_instance,
     serialize_instance,
 )
-from .generators import GenSpec, gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
+from .generators import gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
 from .oracle import (
     PointSet,
     SolutionSet,
@@ -66,7 +66,6 @@ __all__ = [
     "parse_instance",
     "save_instance",
     "serialize_instance",
-    "GenSpec",
     "gen_coloring",
     "gen_latin",
     "gen_model_rb",

@@ -17,11 +17,11 @@ import json
 import sys
 import time
 
+from . import generators
 from .analysis import bound_table, bound_variable_domain_dpll
 from .core import ParseError, load_instance, serialize_instance
-from .generators import GenSpec
 from .harness import corpus, estimate_iteration_success, node_growth_experiment, verify_campaign
-from .oracle import DEFAULT_CAP, enumerate_solutions
+from .oracle import DEFAULT_CAP, _CapExceeded, enumerate_solutions
 from .dpll import solve_dpll
 from .ppsz import bound_variable_domain_ppsz, solve_ppsz
 from .version import __version__
@@ -55,12 +55,7 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -71,25 +66,27 @@ def _write_text(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-# family -> {GenSpec parameter: the flag that supplies it}
+# family -> (generator in kcsp.generators, {its parameter: the flag that supplies it}), looked
+# up by name at call time so that a wrapper on the module attribute (bench/tracing.py) sees it
 _GEN_FLAGS = {
-    "uniform": {"n": "n", "d": "d", "k": "k", "m": "m"},
-    "model-rb": {"n": "n", "alpha": "alpha", "r": "r", "p": "p", "k": "k"},
-    "coloring": {"edges": "edges", "num_vertices": "vertices", "d": "d"},
-    "latin": {"N": "size"},
-    "nqueens": {"N": "size"},
+    "uniform": ("gen_uniform", {"n": "n", "d": "d", "k": "k", "m": "m", "seed": "seed"}),
+    "model-rb": ("gen_model_rb", {"n": "n", "alpha": "alpha", "r": "r", "p": "p", "k": "k",
+                                  "seed": "seed"}),
+    "coloring": ("gen_coloring", {"edges": "edges", "num_vertices": "vertices", "d": "d"}),
+    "latin": ("gen_latin", {"N": "size"}),
+    "nqueens": ("gen_nqueens", {"N": "size"}),
 }
 
 
 def _cmd_gen(args) -> int:
-    flags = _GEN_FLAGS[args.family]
+    name, flags = _GEN_FLAGS[args.family]
     missing = [flag for flag in flags.values() if getattr(args, flag) is None]
     if missing:
         print(f"error: gen {args.family} requires --{' --'.join(missing)}", file=sys.stderr)
         return 2
     params = {param: getattr(args, flag) for param, flag in flags.items()}
     try:
-        instance = GenSpec(args.family, params, args.seed).build()
+        instance = getattr(generators, name)(**params)
     except ValueError as exc:  # the generators check their own ranges: a bad flag
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -97,46 +94,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_payload_brute(instance):
-    start = time.perf_counter()
-    solutions = enumerate_solutions(instance)
-    elapsed = time.perf_counter() - start
-    if len(solutions) > 0:
-        return "SAT", solutions.solutions[0], {}, elapsed
-    return "UNSAT", None, {}, elapsed
-
-
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    payload = {"tool_version": __version__, "subcommand": "solve"}
+    start = time.perf_counter()
     if args.alg == "dpll":
         stats = solve_dpll(instance)
-        result, assignment, elapsed = stats.status, stats.assignment, stats.elapsed_s
-        extra = {"nodes": stats.nodes}
+        fields = {"result": stats.status, "assignment": stats.assignment, "nodes": stats.nodes}
     elif args.alg == "ppsz":
         stats = solve_ppsz(instance, max_repeats=args.max_repeats, seed=args.seed)
-        payload["seed"] = args.seed
-        result, assignment, elapsed = stats.status, stats.assignment, stats.elapsed_s
-        extra = {
-            "iterations_used": stats.iterations_used,
-            "narrow_histogram": {str(key): stats.narrow_histogram[key]
-                                 for key in sorted(stats.narrow_histogram)},
-        }
+        histogram = sorted(stats.narrow_histogram.items())
+        fields = {"seed": args.seed, "result": stats.status, "assignment": stats.assignment,
+                  "iterations_used": stats.iterations_used,
+                  "narrow_histogram": {str(key): count for key, count in histogram}}
     else:
-        result, assignment, extra, elapsed = _solve_payload_brute(instance)
-    payload["result"] = result
-    if assignment is not None:
-        payload["assignment"] = list(assignment)
-    if "nodes" in extra:
-        payload["nodes"] = extra["nodes"]
-    if "iterations_used" in extra:
-        payload["iterations_used"] = extra["iterations_used"]
-        payload["narrow_histogram"] = extra["narrow_histogram"]
+        solutions = enumerate_solutions(instance).solutions
+        fields = {"result": "SAT" if solutions else "UNSAT",
+                  "assignment": solutions[0] if solutions else None}
+    elapsed = time.perf_counter() - start
+    payload = {"tool_version": __version__, "subcommand": "solve"}
+    payload.update((key, value) for key, value in fields.items() if value is not None)
     if args.stats:
         _dump_json(payload, args.stats)
     payload["elapsed_ms"] = int(round(elapsed * 1000))
     _dump_json(payload, None)
-    return 0 if result == "SAT" else 1
+    return 0 if fields["result"] == "SAT" else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -156,10 +137,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.kind == "lemma1":
-        result = verify_campaign("lemma1", seed=args.seed, max_n=args.max_n)
-    else:
-        result = verify_campaign("lemma2", seed=args.seed, subsets_per_cell=args.subsets)
+    try:
+        result = verify_campaign(
+            args.kind, args.seed, max_n=args.max_n, subsets_per_cell=args.subsets
+        )
+    except ValueError as exc:  # the campaign checks its own ranges: a bad flag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _dump_json(result.to_json_dict(), args.out)
     if args.out is not None:
         print(f"{result.experiment}: {result.verdict}")
@@ -199,17 +183,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.mode == "prob":
-        if args.instance is None:
-            instance = dict(corpus())["triangle-3col"]
+    try:
+        if args.mode == "prob":
+            if args.instance is None:
+                instance = dict(corpus())["triangle-3col"]
+            else:
+                instance = load_instance(args.instance)
+            result = estimate_iteration_success(instance, trials=args.trials, seed=args.seed)
         else:
-            instance = load_instance(args.instance)
-        result = estimate_iteration_success(instance, trials=args.trials, seed=args.seed)
-    else:
-        spec = GenSpec("uniform", {"d": args.d, "k": args.k, "m_per_n": args.m_per_n}, args.seed)
-        result = node_growth_experiment(
-            spec, n_values=args.n, instances_per_n=args.per_n, seed=args.seed
-        )
+            result = node_growth_experiment(
+                args.d, args.k, args.m_per_n, args.n, args.per_n, args.seed
+            )
+    except _CapExceeded:
+        raise  # a runtime limit, not a bad flag
+    except ValueError as exc:  # the experiments check their own ranges: a bad flag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _dump_json(result.to_json_dict(), args.out)
     if args.out is not None:
         print(f"{result.experiment}: {result.verdict}")

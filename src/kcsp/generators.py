@@ -4,25 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
-from .core import CspInstance, Nogood
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """A generator request: family tag, family parameters, and a 64-bit seed."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def build(self) -> CspInstance:
-        try:
-            fn = _FAMILIES[self.family]
-        except KeyError:
-            raise ValueError(f"unknown family {self.family!r}") from None
-        return fn(self)
+from .core import CspInstance
 
 
 def _round_half_up(x: float) -> int:
@@ -139,26 +122,3 @@ def gen_nqueens(N: int) -> CspInstance:
                         nogoods.append(((i, a), (j, b)))
     return CspInstance(N, N, nogoods)
 
-
-def _build_uniform(spec: GenSpec) -> CspInstance:
-    p = spec.params
-    return gen_uniform(p["n"], p["d"], p["k"], p["m"], spec.seed)
-
-
-def _build_model_rb(spec: GenSpec) -> CspInstance:
-    p = spec.params
-    return gen_model_rb(p["n"], p["alpha"], p["r"], p["p"], p["k"], spec.seed)
-
-
-def _build_coloring(spec: GenSpec) -> CspInstance:
-    p = spec.params
-    return gen_coloring(p["edges"], p["num_vertices"], p["d"])
-
-
-_FAMILIES = {
-    "uniform": _build_uniform,
-    "model-rb": _build_model_rb,
-    "coloring": _build_coloring,
-    "latin": lambda spec: gen_latin(spec.params["N"]),
-    "nqueens": lambda spec: gen_nqueens(spec.params["N"]),
-}

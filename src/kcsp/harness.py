@@ -20,10 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CspInstance, Nogood
-from .generators import GenSpec, gen_coloring, gen_latin, gen_nqueens, gen_uniform
+from .generators import gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
     PointSet,
+    _CapExceeded,
     _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
@@ -144,8 +145,8 @@ def estimate_iteration_success(
     (the bound only speaks to satisfiable instances).
 
     Satisfiability is read off the exact oracle, which refuses d^n above
-    `cap` with ValueError; a library caller who knows the instance is
-    satisfiable may pass assume_satisfiable=True to skip the check.
+    `cap` with _CapExceeded (a ValueError); a library caller who knows the
+    instance is satisfiable may pass assume_satisfiable=True to skip the check.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -155,7 +156,7 @@ def estimate_iteration_success(
     elif assume_satisfiable:
         satisfiable = True
     else:
-        raise ValueError(
+        raise _CapExceeded(
             f"d^n = {instance.d}^{instance.n} exceeds the oracle cap {cap}, "
             "so satisfiability cannot be checked"
         )
@@ -193,19 +194,12 @@ def estimate_iteration_success(
 
 
 def node_growth_experiment(
-    family: GenSpec,
-    n_values,
-    instances_per_n: int,
-    seed: int,
+    d: int, k: int, m_per_n: float, n_values, instances_per_n: int, seed: int
 ) -> ExperimentResult:
     """Fit ln(median UNSAT node count) against n and compare the slope to
-    ln(char_root) + 0.05.  The family template must be "uniform" with fixed
-    d and k and an m_per_n ratio; n and the per-instance seed are swept."""
-    if family.family != "uniform":
-        raise ValueError("node growth sweep supports the uniform family only")
-    d = family.params["d"]
-    k = family.params["k"]
-    m_per_n = family.params["m_per_n"]
+    ln(char_root(d, k)) + 0.05.  Each n in n_values gets instances_per_n
+    instances gen_uniform(n, d, k, round(m_per_n * n)), each on its own
+    seed derived from (seed, n, index)."""
     n_values = list(n_values)
     if not n_values or instances_per_n < 1:
         raise ValueError("need at least one n value and one instance per n")
@@ -269,22 +263,27 @@ def _random_subset(rng: random.Random, n: int, d: int) -> PointSet:
     return PointSet.of(points, n, d)
 
 
-def verify_campaign(kind: str, seed: int = 0, **params) -> ExperimentResult:
+def verify_campaign(
+    kind: str, seed: int = 0, *, max_n: int = 7, subsets_per_cell: int = 1000
+) -> ExperimentResult:
     """Randomized or exhaustive check of the isolation-degree inequalities.
 
-    kind "lemma2": for random nonempty S in [0,d)^n, sum over X in S of
-    d^J(X) is at least d^n (exact integers).  kind "lemma1": for every
-    solution X of each corpus instance, the order-averaged narrowed-variable
-    count is at least J(X)/k_max (exact rationals, all n! orders).
+    kind "lemma2": for subsets_per_cell random nonempty S in [0,d)^n per
+    (n, d) with n, d in {2, 3, 4}, sum over X in S of d^J(X) is at least
+    d^n (exact integers).  kind "lemma1": for every solution X of each
+    corpus() instance with n <= max_n, the order-averaged narrowed-variable
+    count is at least J(X)/k_max (exact rationals, all n! orders).  Each
+    kind reads only its own keyword and refuses a value below 1.
     """
     if kind == "lemma2":
-        grid = params.get("grid", [(n, d) for n in (2, 3, 4) for d in (2, 3, 4)])
-        per_cell = params.get("subsets_per_cell", 1000)
+        if subsets_per_cell < 1:
+            raise ValueError(f"need at least 1 subset per (n, d) cell, got {subsets_per_cell}")
+        grid = [(n, d) for n in (2, 3, 4) for d in (2, 3, 4)]
         records = []
         failures = 0
         for cell_index, (n, d) in enumerate(grid):
             rng = random.Random(derive_seed(seed, cell_index))
-            for _ in range(per_cell):
+            for _ in range(subsets_per_cell):
                 subset = _random_subset(rng, n, d)
                 holds, lhs = verify_lemma2(subset)
                 failures += not holds
@@ -294,16 +293,15 @@ def verify_campaign(kind: str, seed: int = 0, **params) -> ExperimentResult:
         return ExperimentResult(
             experiment="verify-lemma2",
             seed=seed,
-            params={"grid": [list(cell) for cell in grid], "subsets_per_cell": per_cell},
+            params={"grid": [list(cell) for cell in grid], "subsets_per_cell": subsets_per_cell},
             records=records,
             stats={"checked": len(records), "failures": failures},
             verdict="pass" if failures == 0 else "fail",
         )
     if kind == "lemma1":
-        max_n = params.get("max_n", 7)
-        instances = params.get("instances")
-        if instances is None:
-            instances = [(name, inst) for name, inst in corpus() if inst.n <= max_n]
+        if max_n < 1:
+            raise ValueError(f"need a corpus cutoff n >= 1, got {max_n}")
+        instances = [(name, inst) for name, inst in corpus() if inst.n <= max_n]
         records = []
         failures = 0
         for name, instance in instances:

@@ -21,6 +21,10 @@ _DECODE_ROWS = 1 << 16
 _MAX_SHARED = 20  # avg_narrow_count's largest u
 
 
+class _CapExceeded(ValueError):
+    """A search space past the cap or the point limit: a runtime limit, not a bad argument."""
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A nonempty subset of D^n given extensionally."""
@@ -159,15 +163,15 @@ def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
     significant, so numeric order is lexicographic order) is a solution.
 
     A space of more than `cap` points, or of more than 2^28 points (a
-    256 MiB mask) whatever the cap, is refused with ValueError before
-    anything is allocated.
+    256 MiB mask) whatever the cap, is refused with _CapExceeded (a
+    ValueError) before anything is allocated.
     """
     n, d = instance.n, instance.d
     total = d**n
     if total > cap:
-        raise ValueError(f"search space d^n = {d}^{n} exceeds cap {cap}")
+        raise _CapExceeded(f"search space d^n = {d}^{n} exceeds cap {cap}")
     if total > _MAX_POINTS:
-        raise ValueError(
+        raise _CapExceeded(
             f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
         )
     # each nogood clears the block of points it matches in one strided write

@@ -77,7 +77,6 @@ class PpszStats:
     seed: int
     narrow_histogram: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
-    prng: str = "random.Random (Mersenne Twister), one stream per iteration"
 
 
 def _iterate(instance: CspInstance, state: NogoodState, rng: random.Random):

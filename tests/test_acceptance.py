@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from kcsp import (
-    GenSpec,
     char_root,
     corpus,
     enumerate_solutions,
@@ -169,8 +168,7 @@ def test_criterion_7_closed_form_anchors(capsys):
 
 def test_criterion_8_node_growth_slope(capsys):
     start = time.perf_counter()
-    spec = GenSpec("uniform", {"d": 2, "k": 2, "m_per_n": 4.0}, 0)
-    result = node_growth_experiment(spec, range(8, 15), 30, seed=0)
+    result = node_growth_experiment(2, 2, 4.0, range(8, 15), 30, seed=0)
     elapsed = time.perf_counter() - start
     slope = result.stats["slope"]
     threshold = result.stats["threshold"]

@@ -1,6 +1,11 @@
 """The package's public surface, pinned: adding or removing an export shows
 up as a reviewed change to this list."""
 
+import functools
+import importlib
+import importlib.util
+from pathlib import Path
+
 import kcsp
 
 PUBLIC = [
@@ -8,7 +13,6 @@ PUBLIC = [
     "CspInstance",
     "DpllStats",
     "ExperimentResult",
-    "GenSpec",
     "Nogood",
     "ParseError",
     "PointSet",
@@ -62,3 +66,18 @@ def test_every_name_imports():
     exec(f"from kcsp import {', '.join(PUBLIC)}", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(kcsp, name)
+
+
+def test_tracer_targets_resolve():
+    # bench/tracing.py wraps these names by (module, attribute) and patches
+    # CspInstance.by_var's cached_property; a rename would silently untrace them
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("kcsp_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing.TARGETS:
+        assert module_name.startswith("kcsp.")
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            module_name, attr
+        )
+    assert isinstance(vars(kcsp.CspInstance)["by_var"], functools.cached_property)

@@ -192,6 +192,21 @@ class TestVerify:
         assert payload["experiment"] == "verify-lemma1"
         assert payload["verdict"] == "pass"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lemma1", "--max-n", "0"], "need a corpus cutoff n >= 1, got 0"),
+            (["lemma2", "--subsets", "0"], "need at least 1 subset per (n, d) cell, got 0"),
+        ],
+        ids=["max-n-0", "subsets-0"],
+    )
+    def test_zero_checks_refused(self, capsys, tmp_path, argv, message):
+        # a campaign of no checks would pass whatever the code does: a bad flag, exit 2
+        path = tmp_path / "verify.json"
+        code, out, err = run(capsys, "verify", *argv, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
+
 
 class TestAnalyze:
     def test_csv_shape(self, capsys):
@@ -291,6 +306,24 @@ class TestBench:
         payload = json.loads(out)
         assert payload["experiment"] == "node-growth"
         assert payload["verdict"] in ("pass", "inconclusive")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["growth", "--d", "1"], "need d >= 2, got 1"),
+            (["growth", "--k", "9", "--n", "3..4"], "need n >= k >= 1, got n=3 k=9"),
+            (["growth", "--per-n", "0"], "need at least one n value and one instance per n"),
+            (["growth", "--m-per-n", "-1"], "need m >= 0, got -8"),
+            (["prob", "--trials", "0"], "trials must be at least 1"),
+        ],
+        ids=["d-1", "k-past-n", "per-n-0", "m-per-n-negative", "trials-0"],
+    )
+    def test_value_out_of_range(self, capsys, tmp_path, argv, message):
+        # the experiment's own range check refuses the flag: one error line, exit 2, no file
+        path = tmp_path / "bench.json"
+        code, out, err = run(capsys, "bench", *argv, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
 
 
 class TestErrors:

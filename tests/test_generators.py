@@ -4,7 +4,6 @@ import pytest
 
 from kcsp import (
     CspInstance,
-    GenSpec,
     gen_coloring,
     gen_latin,
     gen_model_rb,
@@ -141,21 +140,3 @@ class TestGenNQueens:
         with pytest.raises(ValueError):
             gen_nqueens(0)
 
-
-class TestGenSpec:
-    def test_dispatch_matches_direct_calls(self):
-        assert GenSpec("uniform", {"n": 4, "d": 2, "k": 2, "m": 5}, 9).build() == gen_uniform(
-            4, 2, 2, 5, seed=9
-        )
-        assert GenSpec("latin", {"N": 2}).build() == gen_latin(2)
-        assert GenSpec("nqueens", {"N": 4}).build() == gen_nqueens(4)
-        assert GenSpec(
-            "coloring", {"edges": [(1, 2)], "num_vertices": 2, "d": 2}
-        ).build() == gen_coloring([(1, 2)], 2, 2)
-        assert GenSpec(
-            "model-rb", {"n": 9, "alpha": 0.8, "r": 0.6, "p": 0.25, "k": 2}, 1
-        ).build() == gen_model_rb(9, 0.8, 0.6, 0.25, 2, seed=1)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            GenSpec("sudoku", {}).build()

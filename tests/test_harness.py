@@ -6,7 +6,6 @@ import pytest
 
 from kcsp import (
     CspInstance,
-    GenSpec,
     Nogood,
     corpus,
     enumerate_solutions,
@@ -123,33 +122,26 @@ class TestEstimateIterationSuccess:
 
 class TestNodeGrowthExperiment:
     def test_uniform_sweep_passes(self):
-        spec = GenSpec("uniform", {"d": 2, "k": 2, "m_per_n": 4.0}, 0)
-        result = node_growth_experiment(spec, range(8, 13), 8, seed=31)
+        result = node_growth_experiment(2, 2, 4.0, range(8, 13), 8, seed=31)
         assert result.verdict == "pass"
         assert result.stats["slope"] <= result.stats["threshold"]
         assert len(result.records) == 5 * 8
 
     def test_single_n_inconclusive(self):
-        spec = GenSpec("uniform", {"d": 2, "k": 2, "m_per_n": 4.0}, 0)
-        result = node_growth_experiment(spec, [8], 5, seed=31)
+        result = node_growth_experiment(2, 2, 4.0, [8], 5, seed=31)
         assert result.verdict == "inconclusive"
         assert result.stats["slope"] is None
 
     def test_all_sat_family_inconclusive(self):
-        spec = GenSpec("uniform", {"d": 2, "k": 2, "m_per_n": 0.0}, 0)
-        result = node_growth_experiment(spec, range(8, 11), 3, seed=31)
+        result = node_growth_experiment(2, 2, 0.0, range(8, 11), 3, seed=31)
         assert result.verdict == "inconclusive"
-
-    def test_rejects_other_families(self):
-        with pytest.raises(ValueError, match="uniform"):
-            node_growth_experiment(GenSpec("latin", {"N": 2}), [2, 3], 2, seed=0)
 
 
 class TestVerifyCampaign:
     def test_lemma2_small_grid(self):
-        result = verify_campaign("lemma2", seed=8, grid=[(2, 2), (3, 2)], subsets_per_cell=40)
+        result = verify_campaign("lemma2", seed=8, subsets_per_cell=40)
         assert result.verdict == "pass"
-        assert result.stats == {"checked": 80, "failures": 0}
+        assert result.stats == {"checked": 9 * 40, "failures": 0}
         for record in result.records:
             assert record["holds"]
             assert int(record["lhs"]) >= record["d"] ** record["n"]
@@ -182,11 +174,8 @@ class TestVerifyCampaign:
         assert margin == Fraction(27, 10)
 
     def test_lemma1_covers_known_exact_case(self):
-        named = dict(corpus())
-        result = verify_campaign(
-            "lemma1", seed=0, instances=[("pair-forcing", named["pair-forcing"])]
-        )
-        (record,) = result.records
+        result = verify_campaign("lemma1", seed=0, max_n=2)
+        (record,) = [r for r in result.records if r["instance"] == "pair-forcing"]
         assert Fraction(record["average"]) == Fraction(3, 2)
         assert record["j"] == 2
 
@@ -194,22 +183,34 @@ class TestVerifyCampaign:
         with pytest.raises(ValueError, match="unknown verification kind"):
             verify_campaign("lemma3", seed=0)
 
+    def test_refuses_campaigns_of_zero_checks(self):
+        with pytest.raises(ValueError, match="got 0"):
+            verify_campaign("lemma1", max_n=0)
+        with pytest.raises(ValueError, match="got 0"):
+            verify_campaign("lemma2", subsets_per_cell=0)
+        # each kind reads only its own keyword
+        assert verify_campaign("lemma1", max_n=1, subsets_per_cell=0).stats["checked"] > 0
+
+    def test_misspelt_keyword_raises(self):
+        with pytest.raises(TypeError, match="max_N"):
+            verify_campaign("lemma1", max_N=9)
+
     def test_deterministic_given_seed(self):
-        a = verify_campaign("lemma2", seed=5, grid=[(3, 3)], subsets_per_cell=25)
-        b = verify_campaign("lemma2", seed=5, grid=[(3, 3)], subsets_per_cell=25)
+        a = verify_campaign("lemma2", seed=5, subsets_per_cell=25)
+        b = verify_campaign("lemma2", seed=5, subsets_per_cell=25)
         assert a == b
 
 
 class TestExperimentResult:
     def test_json_round_trip(self):
-        result = verify_campaign("lemma2", seed=2, grid=[(2, 2)], subsets_per_cell=10)
+        result = verify_campaign("lemma2", seed=2, subsets_per_cell=10)
         payload = result.to_json_dict()
         text = json.dumps(payload)
         parsed = json.loads(text)
         assert parsed["experiment"] == "verify-lemma2"
         assert parsed["verdict"] == "pass"
         assert parsed["seed"] == 2
-        assert len(parsed["records"]) == 10
+        assert len(parsed["records"]) == 9 * 10
 
     def test_solution_count_vs_corpus_expectation(self):
         named = dict(corpus())
