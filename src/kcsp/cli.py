@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -36,6 +37,28 @@ def _parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"empty range: {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
+
+
+def _at_least_one(text: str) -> int:
+    """An integer of 1 or more, checked at parse time so that it is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """A float other than nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
@@ -233,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--alg", choices=["dpll", "ppsz", "brute"], required=True)
     solve.add_argument("--seed", type=int, default=0, help="ppsz only")
-    solve.add_argument("--max-repeats", type=int, default=None, help="ppsz only")
+    solve.add_argument("--max-repeats", type=_at_least_one, default=None, help="ppsz only")
     solve.add_argument("--stats", default=None, help="also write the JSON payload here")
     solve.add_argument("instance")
     solve.set_defaults(handler=_cmd_solve)
@@ -271,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--per-n", type=int, default=20, help="growth mode")
     bench.add_argument("--d", type=int, default=2, help="growth mode")
     bench.add_argument("--k", type=int, default=2, help="growth mode")
-    bench.add_argument("--m-per-n", type=float, default=4.0, help="growth mode")
+    bench.add_argument("--m-per-n", type=_finite_float, default=4.0, help="growth mode")
     bench.set_defaults(handler=_cmd_bench)
     return parser
 

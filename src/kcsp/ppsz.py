@@ -7,17 +7,17 @@ any would-be match is always forbidden at assignment time.  Success is
 therefore a race against aborts, and the repeat count from the success
 probability bound makes overall failure unlikely on satisfiable input.
 
-`solve_ppsz` runs one iteration at a time, each on its own
-`random.Random(derive_seed(seed, i))`, since it usually stops after one
-to three.  `iteration_successes` runs many independent iterations as one
-numpy block: iteration i reads 2n counter-based splitmix64 words from
+Iteration i reads 2n counter-based splitmix64 words from
 `derive_seed(seed, i)`, so its outcome depends on (seed, i) alone.
+`iteration_successes` runs many iterations as one numpy block;
+`solve_ppsz` runs them one at a time in plain Python, since it usually
+stops after one to three, and reads the same words, so its iteration i
+is the block's row i.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -79,25 +79,30 @@ class PpszStats:
     elapsed_s: float = 0.0
 
 
-def _iterate(instance: CspInstance, state: NogoodState, rng: random.Random):
-    """One pass; returns (assignment or None, number of narrowed variables)."""
+def _iterate(instance: CspInstance, state: NogoodState, s: int):
+    """One pass on the stream of s = derive_seed(seed, i), read as
+    `_run_block` reads row i; returns (assignment or None, number of
+    narrowed variables)."""
     n, d = instance.n, instance.d
     state.reset()
     if state.matched:
         return None, 1  # an arity-0 nogood empties every domain
+    words = [_splitmix64(s + t * _GOLDEN) for t in range(2 * n)]
     order = list(range(1, n + 1))
-    rng.shuffle(order)
+    for t in range(n - 1, 0, -1):
+        j = words[t] % (t + 1)
+        order[t], order[j] = order[j], order[t]
     narrow = 0
-    for y in order:
+    for t, y in enumerate(order):
         forbidden = state.forbidden(y)
         if forbidden:
             narrow += 1
             choices = [a for a in range(d) if a not in forbidden]
             if not choices:
                 return None, narrow
-            value = choices[rng.randrange(len(choices))]
+            value = choices[words[n + t] % len(choices)]
         else:
-            value = rng.randrange(d)
+            value = words[n + t] % d
         state.assign(y, value)
     return tuple(state.values[1:]), narrow
 
@@ -279,8 +284,8 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
 
     One-sided: SAT answers are always correct (checked before returning);
     FAILURE may be wrong with probability at most ~exp(-n) at the default
-    budget.  Each iteration draws from its own seed-derived stream, so a
-    given (instance, seed) pair always replays the same trajectory.
+    budget.  Iteration i reads the words that `iteration_successes` reads
+    for it, so it succeeds exactly when that function's entry i is 1.
     """
     start = time.perf_counter()
     if max_repeats is None:
@@ -290,8 +295,7 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
     state = NogoodState(instance)
     histogram: dict[int, int] = {}
     for iteration in range(1, max_repeats + 1):
-        rng = random.Random(derive_seed(seed, iteration))
-        assignment, narrow = _iterate(instance, state, rng)
+        assignment, narrow = _iterate(instance, state, derive_seed(seed, iteration))
         histogram[narrow] = histogram.get(narrow, 0) + 1
         if assignment is not None:
             if not is_satisfying(instance, assignment):

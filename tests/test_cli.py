@@ -16,6 +16,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_flag_refused(code, out, err, flag):
+    """argparse's answer to a bad flag value: exit 2, nothing on stdout, and
+    a usage block with one error line that names the flag."""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert (code, out) == (2, "")
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0], err
+
+
 @pytest.fixture()
 def triangle_path(tmp_path):
     path = tmp_path / "triangle.csp"
@@ -118,6 +126,16 @@ class TestSolve:
         )
         assert code == 1
         assert json.loads(out)["result"] == "FAILURE"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_repeats_below_one_refused(self, capsys, tmp_path, triangle_path, value):
+        path = tmp_path / "stats.json"
+        code, out, err = run(
+            capsys, "solve", "--alg", "ppsz", "--max-repeats", value, "--stats", str(path),
+            triangle_path
+        )
+        assert_flag_refused(code, out, err, "--max-repeats")
+        assert not path.exists()
 
     def test_brute_agrees_with_dpll(self, capsys, triangle_path):
         code, out, _ = run(capsys, "solve", "--alg", "brute", triangle_path)
@@ -323,6 +341,14 @@ class TestBench:
         path = tmp_path / "bench.json"
         code, out, err = run(capsys, "bench", *argv, "--out", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_m_per_n_must_be_finite(self, capsys, tmp_path, value):
+        # "=" keeps argparse from reading "-inf" as a flag of its own
+        path = tmp_path / "growth.json"
+        code, out, err = run(capsys, "bench", "growth", f"--m-per-n={value}", "--out", str(path))
+        assert_flag_refused(code, out, err, "--m-per-n")
         assert not path.exists()
 
 

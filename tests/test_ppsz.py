@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,56 +41,34 @@ def pair_forcing():
     return CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
 
 
-def run_iteration(instance, rng):
-    """One engine pass; the assignment or None."""
-    return _iterate(instance, NogoodState(instance), rng)[0]
-
-
-def naive_iteration(instance, rng):
-    """Reference pass built on bruteforce.brute_narrowed_domain, mirroring
-    the engine's randomness discipline call for call."""
-    n, d = instance.n, instance.d
-    if any(ng.arity == 0 for ng in instance.nogoods):
-        return None, 1
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    assigned = {}
-    narrow = 0
-    for y in order:
-        domain = brute_narrowed_domain(instance, assigned, y)
-        if len(domain) < d:
-            narrow += 1
-            if not domain:
-                return None, narrow
-            choices = sorted(domain)
-            value = choices[rng.randrange(len(choices))]
-        else:
-            value = rng.randrange(d)
-        assigned[y] = value
-    return tuple(assigned[v] for v in range(1, n + 1)), narrow
+def run_iteration(instance, seed, index=1):
+    """Engine iteration `index` of `seed`: (assignment or None, narrow count)."""
+    return _iterate(instance, NogoodState(instance), derive_seed(seed, index))
 
 
 class TestRunIteration:
     def test_forced_singleton(self):
         inst = CspInstance(1, 2, [Nogood([(1, 0)])])
         for seed in range(20):
-            assert run_iteration(inst, random.Random(seed)) == (1,)
+            assert run_iteration(inst, seed) == ((1,), 1)
 
     def test_empty_instance_spreads_over_the_cube(self):
         inst = CspInstance(2, 2)
-        seen = {run_iteration(inst, random.Random(seed)) for seed in range(60)}
+        seen = {run_iteration(inst, seed)[0] for seed in range(60)}
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    def test_arity_zero_always_aborts(self):
-        # aborts before drawing anything, with one narrowed variable
+    def test_arity_zero_always_aborts(self, monkeypatch):
+        # aborts before reading any word, with one narrowed variable
+        words = []
+        splitmix64 = ppsz._splitmix64
+        monkeypatch.setattr(ppsz, "_splitmix64", lambda x: words.append(x) or splitmix64(x))
         nogood_lists = [[Nogood([])], [Nogood([(1, 0)]), Nogood([])]]
         for inst in (CspInstance(3, 2, nogoods) for nogoods in nogood_lists):
-            rng = random.Random(0)
-            state = rng.getstate()
-            assert _iterate(inst, NogoodState(inst), rng) == (None, 1)
-            assert rng.getstate() == state
+            assert _iterate(inst, NogoodState(inst), 0) == (None, 1)
+            assert words == []
             stats = solve_ppsz(inst, max_repeats=5, seed=0)
             assert stats.status == "FAILURE" and stats.narrow_histogram == {1: 5}
+            words.clear()
 
     def test_completed_iterations_always_satisfy(self):
         # narrowing removes exactly the values that would finish a nogood,
@@ -97,7 +76,7 @@ class TestRunIteration:
         rng = random.Random(808)
         for _ in range(300):
             inst = random_instance(rng)
-            result = run_iteration(inst, random.Random(rng.randrange(2**32)))
+            result = run_iteration(inst, rng.randrange(2**32))[0]
             if result is not None:
                 assert is_satisfying(inst, result)
 
@@ -105,21 +84,20 @@ class TestRunIteration:
         rng = random.Random(809)
         for _ in range(200):
             inst = random_instance(rng)
-            seed = rng.randrange(2**32)
-            engine = _iterate(inst, NogoodState(inst), random.Random(seed))
-            reference = naive_iteration(inst, random.Random(seed))
-            assert engine == reference
+            seed, index = rng.randrange(2**32), rng.randrange(1, 100)
+            assert run_iteration(inst, seed, index) == reference_block_iteration(inst, seed, index)
 
 
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 
 def reference_block_iteration(instance, seed, index):
-    """Iteration `index` of a block, replayed in plain Python: words t of
-    the splitmix64 stream from derive_seed(seed, index) are
+    """Iteration `index` replayed in plain Python: words t of the
+    splitmix64 stream from derive_seed(seed, index) are
     _splitmix64(s + t * GOLDEN); words 1..n-1 drive a Fisher-Yates shuffle
     and word n+t picks the value at position t among the sorted narrowed
-    domain.  The assignment, or None on an abort."""
+    domain.  (The assignment or None on an abort, the number of variables
+    whose domain was narrowed.)"""
     n = instance.n
     s = derive_seed(seed, index)
     words = [_splitmix64((s + t * GOLDEN) % 2**64) for t in range(2 * n)]
@@ -128,12 +106,15 @@ def reference_block_iteration(instance, seed, index):
         j = words[t] % (t + 1)
         order[t], order[j] = order[j], order[t]
     assigned = {}
+    narrow = 0
     for t, y in enumerate(order):
         domain = sorted(brute_narrowed_domain(instance, assigned, y))
+        if len(domain) < instance.d:
+            narrow += 1
         if not domain:
-            return None
+            return None, narrow
         assigned[y] = domain[words[n + t] % len(domain)]
-    return tuple(assigned[v] for v in range(1, n + 1))
+    return tuple(assigned[v] for v in range(1, n + 1)), narrow
 
 
 def replay_instances():
@@ -168,7 +149,7 @@ class TestIterationBlocks:
             seed, count = 1000 + number, 30
             completed.clear()
             outcomes = iteration_successes(inst, seed, count)
-            reference = [reference_block_iteration(inst, seed, i) for i in range(1, count + 1)]
+            reference = [reference_block_iteration(inst, seed, i)[0] for i in range(1, count + 1)]
             assert outcomes == [int(point is not None) for point in reference], number
             assert completed == [point for point in reference if point is not None], number
             assert all(brute_is_satisfying(inst, point) for point in completed)
@@ -179,6 +160,21 @@ class TestIterationBlocks:
             if inst.d == 1:
                 kinds.add("d = 1")
         assert kinds == {"sat", "no success", "abort", "all complete", "arity 0", "d = 1"}
+
+    def test_solver_stops_at_the_first_block_success(self):
+        # one stream: solve_ppsz's iteration i is the block's row i
+        kinds = set()
+        for number, inst in enumerate(replay_instances()):
+            seed, count = 1000 + number, 30
+            stats = solve_ppsz(inst, max_repeats=count, seed=seed)
+            outcomes = iteration_successes(inst, seed, count)
+            first = outcomes.index(1) + 1 if 1 in outcomes else count
+            reference = [reference_block_iteration(inst, seed, i) for i in range(1, first + 1)]
+            assert stats.iterations_used == first, number
+            assert stats.assignment == reference[-1][0], number
+            assert stats.narrow_histogram == Counter(narrow for _, narrow in reference), number
+            kinds.add((stats.status, first > 1))
+        assert kinds == {("SAT", False), ("SAT", True), ("FAILURE", True)}
 
     @pytest.mark.parametrize("name", ["pair-forcing", "k3-d2", "queens-4", "uniform-4", "zero-arity"])
     def test_records_do_not_depend_on_block_size(self, monkeypatch, name):
@@ -294,17 +290,6 @@ class TestExactSuccessProbability:
         named = dict(corpus())
         assert exact_iteration_success(named["queens-2"]) == 0
         assert exact_iteration_success(named["zero-arity"]) == 0
-
-    def test_empirical_rate_matches_exact(self):
-        inst = pair_forcing()
-        trials = 20000
-        hits = 0
-        for t in range(trials):
-            if run_iteration(inst, random.Random(derive_seed(99, t))) is not None:
-                hits += 1
-        exact = 0.75
-        se = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(hits / trials - exact) <= 4 * se
 
     def test_exact_value_at_least_analytic_bound_on_small_instances(self):
         rng = random.Random(810)

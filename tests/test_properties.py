@@ -6,6 +6,7 @@ every run on the same examples."""
 
 import contextlib
 import io
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,10 +32,11 @@ def test_parse_inverts_serialize(instance):
 
 
 def _flag(name, values, always=False):
-    """["--name", value], or one time in eight nothing: a missing flag."""
+    """["--name=value"], or one time in eight nothing: a missing flag.  The
+    "=" lets a value such as "-inf" reach the flag's own parser."""
     present = st.just(True) if always else st.integers(0, 7).map(bool)
     return st.tuples(present, values).map(
-        lambda draw: [f"--{name}", str(draw[1])] if draw[0] else []
+        lambda draw: [f"--{name}={draw[1]}"] if draw[0] else []
     )
 
 
@@ -73,7 +75,8 @@ growth_argv = _argv(
     st.just(["bench", "growth"]), _flag("n", n_range, always=True),
     _flag("per-n", st.integers(0, 3), always=True),
     _flag("d", st.integers(1, 4)), _flag("k", st.integers(1, 4)),
-    _flag("m-per-n", st.floats(-1, 6, allow_nan=False).map(lambda x: round(x, 2))),
+    _flag("m-per-n", st.one_of(st.floats(-1, 6, allow_nan=False).map(lambda x: round(x, 2)),
+                               st.sampled_from([math.nan, math.inf, -math.inf]))),
     _flag("seed", st.integers(0, 99)),
 )
 verify_argv = st.one_of(
