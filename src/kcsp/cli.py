@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 for success (SAT, or a passing verdict), 1 for UNSAT /
-FAILURE / failing verdicts, 2 for usage problems (bad or missing flags,
-unreadable or malformed files), 3 for runtime limits (enumeration cap,
-overflow).
+FAILURE / failing verdicts, 2 for usage problems, 3 for runtime limits.
+Only cli_dispatch maps an error to a code, printing one `error:` line: a
+runtime limit (the enumeration cap, the nogood limit, search depth,
+overflow, a failed certification: _LimitExceeded, ArithmeticError,
+RecursionError) exits 3, and every other ValueError (a bad flag value, a
+malformed or non-UTF-8 file) or OSError exits 2.
 
 JSON payloads use a fixed key order and omit absent fields; elapsed_ms
 appears on stdout only, never in --out/--stats files, so rerunning a
@@ -20,9 +23,9 @@ import time
 
 from . import generators
 from .analysis import bound_table, bound_variable_domain_dpll
-from .core import ParseError, load_instance, serialize_instance
+from .core import _LimitExceeded, load_instance, serialize_instance
 from .harness import corpus, estimate_iteration_success, node_growth_experiment, verify_campaign
-from .oracle import DEFAULT_CAP, _CapExceeded, enumerate_solutions
+from .oracle import DEFAULT_CAP, enumerate_solutions
 from .dpll import solve_dpll
 from .ppsz import bound_variable_domain_ppsz, solve_ppsz
 from .version import __version__
@@ -30,13 +33,15 @@ from .version import __version__
 
 def _parse_range(text: str) -> list[int]:
     """"2..4" -> [2, 3, 4]; "3" -> [3]."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range: {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _at_least_one(text: str) -> int:
@@ -68,10 +73,11 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        left, sep, right = chunk.partition("-")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"bad edge {chunk!r}, expected u-v")
-        edges.append((int(left), int(right)))
+        left, _, right = chunk.partition("-")
+        try:
+            edges.append((int(left), int(right)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad edge {chunk!r}, expected u-v") from None
     if not edges:
         raise argparse.ArgumentTypeError("no edges given")
     return edges
@@ -79,6 +85,14 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 def _dump_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", path)
+
+
+def _report(result, path: str | None) -> int:
+    """Write an experiment's JSON (and its verdict line, if to a file); exit 1 on "fail"."""
+    _dump_json(result.to_json_dict(), path)
+    if path is not None:
+        print(f"{result.experiment}: {result.verdict}")
+    return 1 if result.verdict == "fail" else 0
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -108,11 +122,7 @@ def _cmd_gen(args) -> int:
         print(f"error: gen {args.family} requires --{' --'.join(missing)}", file=sys.stderr)
         return 2
     params = {param: getattr(args, flag) for param, flag in flags.items()}
-    try:
-        instance = getattr(generators, name)(**params)
-    except ValueError as exc:  # the generators check their own ranges: a bad flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance = getattr(generators, name)(**params)
     _write_text(serialize_instance(instance), args.out)
     return 0
 
@@ -160,20 +170,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        result = verify_campaign(
-            args.kind, args.seed, max_n=args.max_n, subsets_per_cell=args.subsets
-        )
-    except ValueError as exc:  # the campaign checks its own ranges: a bad flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _dump_json(result.to_json_dict(), args.out)
-    if args.out is not None:
-        print(f"{result.experiment}: {result.verdict}")
-    return 0 if result.verdict == "pass" else 1
+    result = verify_campaign(args.kind, args.seed, max_n=args.max_n, subsets_per_cell=args.subsets)
+    return _report(result, args.out)
 
 
-def _analyze_lines(args) -> list[str]:
+def _cmd_analyze(args) -> int:
     header = ["d", "k", "char_root", "dpll_bound_base", "ppsz_bound_base", "smaller"]
     vardom = args.alpha is not None and args.n is not None
     if vardom:
@@ -192,40 +193,20 @@ def _analyze_lines(args) -> list[str]:
             cells.append(format(bound_variable_domain_dpll(args.n, args.alpha, args.epsilon), ".12g"))
             cells.append(format(bound_variable_domain_ppsz(args.n, args.alpha, row.k), ".12g"))
         lines.append(",".join(cells))
-    return lines
-
-
-def _cmd_analyze(args) -> int:
-    try:
-        lines = _analyze_lines(args)
-    except ValueError as exc:  # the analysis functions check their own ranges: a bad flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    try:
-        if args.mode == "prob":
-            if args.instance is None:
-                instance = dict(corpus())["triangle-3col"]
-            else:
-                instance = load_instance(args.instance)
-            result = estimate_iteration_success(instance, trials=args.trials, seed=args.seed)
+    if args.mode == "prob":
+        if args.instance is None:
+            instance = dict(corpus())["triangle-3col"]
         else:
-            result = node_growth_experiment(
-                args.d, args.k, args.m_per_n, args.n, args.per_n, args.seed
-            )
-    except _CapExceeded:
-        raise  # a runtime limit, not a bad flag
-    except ValueError as exc:  # the experiments check their own ranges: a bad flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _dump_json(result.to_json_dict(), args.out)
-    if args.out is not None:
-        print(f"{result.experiment}: {result.verdict}")
-    return 1 if result.verdict == "fail" else 0
+            instance = load_instance(args.instance)
+        result = estimate_iteration_success(instance, trials=args.trials, seed=args.seed)
+    else:
+        result = node_growth_experiment(args.d, args.k, args.m_per_n, args.n, args.per_n, args.seed)
+    return _report(result, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,12 +288,12 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, ArithmeticError) as exc:
+    except (_LimitExceeded, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -20,6 +20,11 @@ class ParseError(ValueError):
         self.line = line
 
 
+class _LimitExceeded(ValueError):
+    """A runtime limit was reached (enumeration cap or point limit, nogood
+    limit, search depth): the input is well formed but too large to handle."""
+
+
 @dataclass(frozen=True)
 class Nogood:
     """A forbidden partial assignment; pairs are kept sorted by variable index."""
@@ -180,7 +185,11 @@ def parse_instance(text) -> CspInstance:
     ParseError (with line number) on malformed input.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text[: exc.start].count(b"\n") + 1
+            raise ParseError(f"byte {text[exc.start]:#04x} is not UTF-8", line) from None
     n = d = None
     nogoods = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -15,10 +15,11 @@ those of the plain assign-recurse-unassign loop.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
-from .core import CspInstance, NogoodState, is_satisfying
+from .core import CspInstance, NogoodState, _LimitExceeded, is_satisfying
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,22 @@ class _Search:
 
 
 def solve_dpll(instance: CspInstance) -> DpllStats:
-    """Complete and sound: SAT with a satisfying assignment iff one exists."""
+    """Complete and sound: SAT with a satisfying assignment iff one exists.
+
+    The search recurses once per branching level, so it can go n levels
+    deep.  A search that reaches the interpreter's recursion limit
+    (sys.getrecursionlimit(), 1,000 frames by default, the caller's frames
+    included) is refused with _LimitExceeded (a ValueError).
+    """
     start = time.perf_counter()
     search = _Search(instance)
-    assignment = search.run(0)
+    try:
+        assignment = search.run(0)
+    except RecursionError:
+        raise _LimitExceeded(
+            f"DPLL search depth exceeds the recursion limit of {sys.getrecursionlimit()} "
+            f"frames (n = {instance.n})"
+        ) from None
     elapsed = time.perf_counter() - start
     if assignment is None:
         return DpllStats("UNSAT", None, search.nodes, search.max_depth, elapsed)

@@ -1,11 +1,25 @@
-"""Instance generators: seeded random families and classic structured problems."""
+"""Instance generators: seeded random families and classic structured problems.
+
+Each generator counts its nogoods from its arguments and refuses more
+than _MAX_NOGOODS with _LimitExceeded (a ValueError) before building
+anything.
+"""
 
 from __future__ import annotations
 
 import math
 import random
 
-from .core import CspInstance
+from .core import CspInstance, _LimitExceeded
+
+# about 470 bytes of peak memory per nogood built, so roughly 0.5 GB
+_MAX_NOGOODS = 1 << 20
+
+
+def _check_count(count: int) -> None:
+    """Refuse, before anything is built, an instance of more than _MAX_NOGOODS nogoods."""
+    if count > _MAX_NOGOODS:
+        raise _LimitExceeded(f"{count} nogoods exceed the limit of {_MAX_NOGOODS}")
 
 
 def _round_half_up(x: float) -> int:
@@ -28,6 +42,7 @@ def gen_uniform(n: int, d: int, k: int, m: int, seed: int) -> CspInstance:
     limit = math.comb(n, k) * d**k
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} distinct nogoods over (n={n}, k={k}, d={d})")
+    _check_count(m)
     rng = random.Random(seed)
     nogoods: list[tuple[tuple[int, int], ...]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -59,6 +74,7 @@ def gen_model_rb(n: int, alpha: float, r: float, p: float, k: int, seed: int) ->
     if nogoods_per_constraint < 1:
         raise ValueError(f"round(p * d^k) = {nogoods_per_constraint} leaves constraints empty")
     m_constraints = _round_half_up(r * n * math.log(n))
+    _check_count(m_constraints * nogoods_per_constraint)
     rng = random.Random(seed)
     nogoods: list[tuple[tuple[int, int], ...]] = []
     for _ in range(m_constraints):
@@ -76,6 +92,8 @@ def gen_coloring(edges, num_vertices: int, d: int) -> CspInstance:
     """Graph d-coloring: per edge (u, v) and color c, one nogood (u:c, v:c)."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    edges = list(edges)
+    _check_count(len(edges) * d)
     nogoods = []
     for u, v in edges:
         if u == v:
@@ -96,6 +114,7 @@ def gen_latin(N: int) -> CspInstance:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    _check_count(N**3 * (N - 1))
     cell = lambda i, j: (i - 1) * N + j
     nogoods = []
     for i in range(1, N + 1):
@@ -111,6 +130,8 @@ def gen_nqueens(N: int) -> CspInstance:
     """N queens, one variable per row holding the queen's column (0-indexed)."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    # per row pair, N same-column nogoods; per distance t, 2(N - t)^2 diagonal ones
+    _check_count(N * math.comb(N, 2) + N * (N - 1) * (2 * N - 1) // 3)
     nogoods = []
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):

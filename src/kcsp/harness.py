@@ -19,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CspInstance, Nogood
+from .core import CspInstance, Nogood, _LimitExceeded
 from .generators import gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
     PointSet,
-    _CapExceeded,
     _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
@@ -145,7 +144,7 @@ def estimate_iteration_success(
     (the bound only speaks to satisfiable instances).
 
     Satisfiability is read off the exact oracle, which refuses d^n above
-    `cap` with _CapExceeded (a ValueError); a library caller who knows the
+    `cap` with _LimitExceeded (a ValueError); a library caller who knows the
     instance is satisfiable may pass assume_satisfiable=True to skip the check.
     """
     if trials < 1:
@@ -156,7 +155,7 @@ def estimate_iteration_success(
     elif assume_satisfiable:
         satisfiable = True
     else:
-        raise _CapExceeded(
+        raise _LimitExceeded(
             f"d^n = {instance.d}^{instance.n} exceeds the oracle cap {cap}, "
             "so satisfiability cannot be checked"
         )

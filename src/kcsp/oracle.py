@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CspInstance, is_satisfying
+from .core import CspInstance, _LimitExceeded, is_satisfying
 
 DEFAULT_CAP = 1 << 24
 # enumerate_solutions refuses larger spaces whatever the cap: its mask
@@ -19,10 +19,6 @@ DEFAULT_CAP = 1 << 24
 _MAX_POINTS = 1 << 28
 _DECODE_ROWS = 1 << 16
 _MAX_SHARED = 20  # avg_narrow_count's largest u
-
-
-class _CapExceeded(ValueError):
-    """A search space past the cap or the point limit: a runtime limit, not a bad argument."""
 
 
 @dataclass(frozen=True)
@@ -163,15 +159,15 @@ def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
     significant, so numeric order is lexicographic order) is a solution.
 
     A space of more than `cap` points, or of more than 2^28 points (a
-    256 MiB mask) whatever the cap, is refused with _CapExceeded (a
+    256 MiB mask) whatever the cap, is refused with _LimitExceeded (a
     ValueError) before anything is allocated.
     """
     n, d = instance.n, instance.d
     total = d**n
     if total > cap:
-        raise _CapExceeded(f"search space d^n = {d}^{n} exceeds cap {cap}")
+        raise _LimitExceeded(f"search space d^n = {d}^{n} exceeds cap {cap}")
     if total > _MAX_POINTS:
-        raise _CapExceeded(
+        raise _LimitExceeded(
             f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
         )
     # each nogood clears the block of points it matches in one strided write
@@ -250,7 +246,8 @@ def avg_narrow_count(instance: CspInstance, X) -> NarrowCountResult:
     one, with no enumeration.  For each, the set T of U (the union of those
     nogoods' other variables, u = |U|) placed before y has probability
     |T|! (u - |T|)! / (u + 1)!; the sum runs over all 2^u sets T, and
-    ValueError is raised before any sum if some u exceeds 20.
+    _LimitExceeded (a ValueError) is raised before any sum if some u
+    exceeds 20.
     """
     X = tuple(X)
     if not is_satisfying(instance, X):
@@ -264,7 +261,9 @@ def avg_narrow_count(instance: CspInstance, X) -> NarrowCountResult:
     shared = {y: sorted(set().union(*sets)) for y, sets in others.items()}
     for y, U in shared.items():
         if len(U) > _MAX_SHARED:
-            raise ValueError(f"variable {y} shares nogoods with {len(U)} others; max {_MAX_SHARED}")
+            raise _LimitExceeded(
+                f"variable {y} shares nogoods with {len(U)} others; max {_MAX_SHARED}"
+            )
     orders = math.factorial(instance.n)
     total = 0
     for y, U in shared.items():

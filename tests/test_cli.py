@@ -81,6 +81,31 @@ class TestGen:
             code, _, err = run(capsys, "gen", family)
             assert (code, err) == (2, f"error: gen {family} requires {flags}\n")
 
+    @pytest.mark.parametrize(
+        "family, size, count",
+        [("nqueens", "200", 9_273_400), ("latin", "33", 1_149_984)],
+    )
+    def test_past_the_nogood_limit(self, capsys, monkeypatch, family, size, count):
+        # refused from the arguments alone: no instance is built
+        def build(*_):
+            raise AssertionError("CspInstance called")
+
+        monkeypatch.setattr("kcsp.generators.CspInstance", build)
+        code, out, err = run(capsys, "gen", family, "--size", size)
+        assert (code, out, err) == (3, "", f"error: {count} nogoods exceed the limit of 1048576\n")
+
+    def test_latin_32_is_within_the_nogood_limit(self, capsys, monkeypatch):
+        # the 1,015,808 nogoods are listed and handed on; a stub builds the instance
+        built = []
+
+        def build(n, d, nogoods):
+            built.append(len(nogoods))
+            return CspInstance(1, 1)
+
+        monkeypatch.setattr("kcsp.generators.CspInstance", build)
+        code, _, _ = run(capsys, "gen", "latin", "--size", "32")
+        assert (code, built) == (0, [1_015_808])
+
 
 class TestSolve:
     def test_dpll_sat_payload(self, capsys, tmp_path, triangle_path):
@@ -136,6 +161,24 @@ class TestSolve:
         )
         assert_flag_refused(code, out, err, "--max-repeats")
         assert not path.exists()
+
+    @staticmethod
+    def _unary_chain(tmp_path, n):
+        # nogood (v: 0) for every v: SAT, and the search goes n levels deep
+        path = tmp_path / f"chain-{n}.csp"
+        path.write_text(f"p csp {n} 2\n" + "".join(f"n 1 {v} 0\n" for v in range(1, n + 1)))
+        return str(path)
+
+    def test_dpll_depth_past_the_recursion_limit(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--alg", "dpll", self._unary_chain(tmp_path, 3000))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: DPLL search depth exceeds the recursion limit"), err
+        assert err.endswith(" frames (n = 3000)\n") and err.count("\n") == 1, err
+
+    def test_dpll_deep_chain_within_the_limit(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "solve", "--alg", "dpll", self._unary_chain(tmp_path, 500))
+        assert code == 0
+        assert json.loads(out)["assignment"] == [1] * 500
 
     def test_brute_agrees_with_dpll(self, capsys, triangle_path):
         code, out, _ = run(capsys, "solve", "--alg", "brute", triangle_path)
@@ -392,6 +435,29 @@ class TestErrors:
         # a flag value out of range is a usage problem: one error line, exit 2
         code, out, err = run(capsys, "gen", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # a UnicodeDecodeError is a malformed file, not a runtime limit
+        path = tmp_path / "latin1.csp"
+        path.write_bytes(b"p csp 2 2\nn 1 1 \xff\n")
+        code, out, err = run(capsys, "solve", "--alg", "dpll", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: byte 0xff is not UTF-8\n")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["analyze", "--k", "2", "--d", "x"], "expected an integer or lo..hi, got 'x'"),
+            (["analyze", "--k", "2", "--d", "3..x"], "expected an integer or lo..hi, got '3..x'"),
+            (["gen", "coloring", "--vertices", "2", "--d", "2", "--edges", "1-x"],
+             "bad edge '1-x', expected u-v"),
+        ],
+        ids=["x", "3..x", "1-x"],
+    )
+    def test_flag_parser_says_what_it_expected(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        flag = argv[-2]
+        assert_flag_refused(code, out, err, flag)
+        assert err.splitlines()[-1].endswith(f"argument {flag}: {expected}")
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from kcsp import generators
+from kcsp.core import _LimitExceeded
 from kcsp import (
     CspInstance,
     gen_coloring,
@@ -140,3 +142,28 @@ class TestGenNQueens:
         with pytest.raises(ValueError):
             gen_nqueens(0)
 
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("gen_uniform", dict(n=6, d=3, k=2, m=20, seed=1)),
+        ("gen_model_rb", dict(n=6, alpha=0.8, r=0.5, p=0.3, k=2, seed=1)),
+        ("gen_coloring", dict(edges=[(1, 2), (2, 3), (1, 3), (1, 2)], num_vertices=3, d=3)),
+        ("gen_latin", dict(N=4)),
+        ("gen_nqueens", dict(N=7)),
+    ],
+)
+def test_nogood_limit_counts_the_list_built(monkeypatch, name, kwargs):
+    # the count checked up front is exactly the length of the list the generator builds
+    built = []
+    monkeypatch.setattr(generators, "CspInstance", lambda n, d, nogoods: built.append(len(nogoods)))
+    generate = getattr(generators, name)
+    generate(**kwargs)
+    count = built[0]
+    monkeypatch.setattr(generators, "_MAX_NOGOODS", count)
+    generate(**kwargs)
+    monkeypatch.setattr(generators, "_MAX_NOGOODS", count - 1)
+    with pytest.raises(_LimitExceeded, match=f"^{count} nogoods exceed the limit of {count - 1}$"):
+        generate(**kwargs)
+    assert built == [count, count]

@@ -1,12 +1,14 @@
 """Hypothesis properties: the instance text format round-trips, and the CLI
-answers any flag values with a documented exit code, at most one error line
-and no traceback.  Draws are bounded (n <= 12, at most 8 nogoods or edges,
-small sweeps) so that no example builds a large instance; derandomize keeps
-every run on the same examples."""
+answers any flag values and any instance file with a documented exit code,
+at most one error line and no traceback.  Draws are bounded (n <= 12, at
+most 8 nogoods or edges, small sweeps) so that no example builds a large
+instance; derandomize keeps every run on the same examples."""
 
 import contextlib
 import io
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +99,7 @@ def _check_documented_answer(argv):
     assert not any("Traceback" in line for line in lines), lines
     if code in (0, 1):
         assert lines == []
+    return code
 
 
 @SETTINGS
@@ -115,3 +118,61 @@ def test_bench_growth_answers_any_flag_values_with_a_documented_code(argv):
 @given(verify_argv)
 def test_verify_answers_any_flag_values_with_a_documented_code(argv):
     _check_documented_answer(argv)
+
+
+@st.composite
+def near_grammar_files(draw):
+    """A well-formed instance file, then up to two of its tokens replaced by
+    a number past the edge of its range, another variable, a word, an empty
+    token (which shifts the pairs) or a byte that is not UTF-8; one file in
+    eight has its header last.  d^n <= 4096, so the oracle answers at once."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max(m for m in range(1, 13) if d**m <= 4096)))
+    lines = [[b"p", b"csp", str(n).encode(), str(d).encode()]]
+    for _ in range(draw(st.integers(0, 8))):
+        variables = draw(st.lists(st.integers(1, n), max_size=4, unique=True))
+        words = [b"n", str(len(variables)).encode()]
+        for v in variables:
+            words += [str(v).encode(), str(draw(st.integers(0, d - 1))).encode()]
+        lines.append(words)
+    swaps = [b"0", b"-1", b"1", str(n + 1).encode(), str(d).encode(), b"x", b"1.5", b"",
+             b"\xff", b"\xc3"]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        words = draw(st.sampled_from(lines))
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(swaps))
+    text = [b" ".join(words) for words in lines]
+    text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from([b"", b"# c", b"  "])))
+    if draw(st.sampled_from(range(8))) == 7:
+        text.reverse()
+    return draw(st.sampled_from([b"\n", b"\r\n"])).join(text)
+
+
+instance_files = st.one_of(
+    near_grammar_files(),
+    near_grammar_files(),
+    st.binary(max_size=64),
+    st.binary(max_size=16).map(lambda tail: b"p csp 3 2\n" + tail),
+)
+file_commands = st.sampled_from([
+    ["solve", "--alg", "dpll"],
+    ["solve", "--alg", "ppsz", "--max-repeats", "4"],
+    ["solve", "--alg", "brute"],
+    ["oracle"],
+])
+
+
+@settings(SETTINGS, max_examples=100)
+@given(file_commands, instance_files)
+def test_instance_files_get_exit_2_exactly_when_the_parser_refuses_them(command, data):
+    try:
+        parse_instance(data)
+        refused = False
+    except ValueError:
+        refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.csp")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        code = _check_documented_answer(command + [path])
+    # a file the parser accepts is small here: solved or refuted, never a limit
+    assert code == 2 if refused else code in (0, 1), (code, data)
