@@ -31,8 +31,11 @@ from .ppsz import bound_variable_domain_ppsz, solve_ppsz
 from .version import __version__
 
 
+_MAX_RANGE = 1000
+
+
 def _parse_range(text: str) -> list[int]:
-    """"2..4" -> [2, 3, 4]; "3" -> [3]."""
+    """"2..4" -> [2, 3, 4]; "3" -> [3]; at most _MAX_RANGE values."""
     lo_text, sep, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
@@ -41,6 +44,8 @@ def _parse_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected an integer or lo..hi, got {text!r}") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    if hi - lo >= _MAX_RANGE:
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {_MAX_RANGE} values")
     return list(range(lo, hi + 1))
 
 

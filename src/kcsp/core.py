@@ -21,8 +21,13 @@ class ParseError(ValueError):
 
 
 class _LimitExceeded(ValueError):
-    """A runtime limit was reached (enumeration cap or point limit, nogood
-    limit, search depth): the input is well formed but too large to handle."""
+    """A runtime limit was reached (enumeration cap or point limit, variable
+    or nogood limit, search depth): the input is well formed but too large
+    to handle."""
+
+
+# Largest variable count: per-variable tables stay small, whatever the header says.
+_MAX_VARIABLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,8 @@ class CspInstance:
             raise ValueError(f"variable count must be positive, got {n}")
         if d < 1:
             raise ValueError(f"domain size must be at least 1, got {d}")
+        if n > _MAX_VARIABLES:
+            raise _LimitExceeded(f"{n} variables exceed the limit of {_MAX_VARIABLES}")
         self.n = n
         self.d = d
         canonical = []
@@ -106,6 +113,50 @@ class CspInstance:
     def arities(self) -> tuple[int, ...]:
         return tuple(ng.arity for ng in self.nogoods)
 
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[dict[int, int]], list[int]]:
+        """NogoodState's tables, built once per instance, bit j standing for
+        nogood j: per variable v, the mask of the nogoods naming v and a
+        dict from each value a named with v to the mask of the nogoods
+        naming (v, a); and the initial levels, level c holding the nogoods
+        of arity c (c = 0..max(k_max, 1)).
+
+        Only values that occur get a mask, so no table is n x d.  A mask
+        takes about (its highest nogood index) / 8 bytes: all of them
+        together 10.5 MB on gen_nqueens(40) and 24 MB on gen_latin(16),
+        against 30 MB and 25 MB for the instance and `by_var`.
+        """
+        touch = [0] * (self.n + 1)
+        match: list[dict[int, int]] = [{}] * (self.n + 1)  # read-only where empty
+        for v, entries in enumerate(self.by_var):
+            if entries:
+                match[v] = masks = _masks_by_key(entries, entries[-1][0])
+                touch[v] = sum(masks.values())  # the masks are disjoint: their sum is their OR
+        by_arity = _masks_by_key(enumerate(self.arities), len(self.nogoods) - 1)
+        return touch, match, [by_arity.get(c, 0) for c in range(max(self.k_max, 1) + 1)]
+
+
+def _masks_by_key(entries, top: int) -> dict[int, int]:
+    """For (j, key) entries in ascending j, up to j = top, each key's mask
+    of its j's.  Below bit 4,096 the bits are ORed in; wider masks are set
+    in a bytearray first, since each OR copies the whole int and would make
+    the build quadratic in the nogood count."""
+    masks: dict[int, int] = {}
+    if top < 4096:
+        get = masks.get
+        for j, key in entries:
+            masks[key] = get(key, 0) | 1 << j
+        return masks
+    groups: dict[int, list[int]] = {}
+    for j, key in entries:
+        groups.setdefault(key, []).append(j)
+    for key, indices in groups.items():
+        buf = bytearray(indices[-1] // 8 + 1)
+        for j in indices:
+            buf[j >> 3] |= 1 << (j & 7)
+        masks[key] = int.from_bytes(buf, "little")
+    return masks
+
 
 def is_satisfying(instance: CspInstance, values) -> bool:
     """True iff the total assignment `values` (variable v's value at index
@@ -116,7 +167,10 @@ def is_satisfying(instance: CspInstance, values) -> bool:
     if min(values) < 0 or max(values) >= instance.d:
         raise ValueError(f"is_satisfying requires values in 0..{instance.d - 1}")
     for ng in instance.nogoods:
-        if all(values[v - 1] == a for v, a in ng.pairs):
+        for v, a in ng.pairs:
+            if values[v - 1] != a:
+                break
+        else:
             return False
     return True
 
@@ -125,56 +179,79 @@ class NogoodState:
     """Incremental status of every nogood under a partial assignment.
 
     `values[v]` is variable v's value, or None while unassigned
-    (`values[0]` is unused padding).  For nogood j, `left[j]` counts its
-    unassigned pairs and `bad[j]` its assigned pairs that disagree with it:
-    the nogood is killed when bad[j] > 0, matched when left[j] == bad[j] ==
-    0, and live otherwise.  `matched` counts matched nogoods; arity-0
-    nogoods are matched from the start.  Single-owner and mutable.
+    (`values[0]` is unused padding).  `levels[c]`, for c = 0..max(k_max, 1),
+    is an int whose bit j is set iff nogood j is live (no assigned pair
+    disagrees with it) and has exactly c unassigned pairs.  So `levels[0]`
+    holds the matched nogoods, arity-0 ones from the start, and a killed
+    nogood is in no level.
+
+    `assign(v, a)` moves the live nogoods naming (v, a) down one level and
+    drops those naming v with another value, from two masks cached on the
+    instance (`CspInstance._masks`): k_max + 1 big-int operations of m bits
+    each, however many nogoods name v.  It pushes the old levels and
+    `unassign` pops them, so assignments are undone last in, first out;
+    unassigning any variable but the latest raises RuntimeError.  The
+    pushed levels take up to n * (k_max + 1) * m / 8 bytes at full depth.
+    `select` and `forbidden` read the levels without changing them.
+    Single-owner and mutable.
     """
 
     def __init__(self, instance: CspInstance):
-        self.by_var = instance.by_var
-        self._arities = instance.arities
-        self._empty = instance.arities.count(0)
+        self._touch, self._match, self._initial = instance._masks
         self.values: list[int | None] = [None] * (instance.n + 1)
-        self.left = list(self._arities)
-        self.bad = [0] * len(self._arities)
-        self.matched = self._empty
+        self.levels = self._initial
+        self._trail: list[tuple[int, list[int]]] = []
 
     def reset(self) -> None:
         """Back to the empty assignment."""
         self.values[:] = [None] * len(self.values)
-        self.left[:] = self._arities
-        self.bad[:] = [0] * len(self.bad)
-        self.matched = self._empty
+        self.levels = self._initial
+        self._trail.clear()
+
+    @property
+    def matched(self) -> bool:
+        """Whether some nogood is matched in full."""
+        return self.levels[0] != 0
 
     def assign(self, var: int, value: int) -> None:
+        old = self.levels
+        self._trail.append((var, old))
         self.values[var] = value
-        left, bad = self.left, self.bad
-        for j, a in self.by_var[var]:
-            left[j] -= 1
-            if a != value:
-                bad[j] += 1
-            elif left[j] == 0 and bad[j] == 0:
-                self.matched += 1
+        touch = self._touch[var]
+        if touch:
+            match = self._match[var].get(value, 0)
+            # no matched nogood names the unassigned var, so level 0 only gains
+            new = [old[0] | (old[1] & match)]
+            for c in range(1, len(old) - 1):
+                low = old[c]
+                new.append((low ^ (low & touch)) | (old[c + 1] & match))
+            low = old[-1]
+            new.append(low ^ (low & touch))
+            self.levels = new
 
     def unassign(self, var: int) -> None:
-        """Exact inverse of the `assign` that set var."""
-        value = self.values[var]
+        """Undo the latest `assign`, which must have set var."""
+        if not self._trail or self._trail[-1][0] != var:
+            latest = self._trail[-1][0] if self._trail else None
+            raise RuntimeError(f"unassign({var}) out of order: the latest assign set {latest}")
+        self.levels = self._trail.pop()[1]
         self.values[var] = None
-        left, bad = self.left, self.bad
-        for j, a in self.by_var[var]:
-            if a != value:
-                bad[j] -= 1
-            elif left[j] == 0 and bad[j] == 0:
-                self.matched -= 1
-            left[j] += 1
+
+    def select(self) -> int:
+        """Index of the live nogood with fewest unassigned pairs, at least
+        one (ties: lowest index), or -1 when there is none."""
+        for level in self.levels[1:]:
+            if level:
+                return (level & -level).bit_length() - 1
+        return -1
 
     def forbidden(self, y: int) -> set[int]:
         """Values a of the live nogoods whose only unassigned pair is (y, a):
         the values that would complete a match."""
-        left, bad = self.left, self.bad
-        return {a for j, a in self.by_var[y] if left[j] == 1 and bad[j] == 0}
+        live = self.levels[1] & self._touch[y]
+        if not live:
+            return set()
+        return {a for a, mask in self._match[y].items() if live & mask}
 
 
 def parse_instance(text) -> CspInstance:

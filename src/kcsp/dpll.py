@@ -1,6 +1,8 @@
 """Deterministic branching solver driven by nogood selection.
 
-At each node the solver picks a live nogood and walks its unassigned pairs
+At each node the solver picks the live nogood with fewest unassigned pairs
+(ties: lowest index), read off `NogoodState.select` as the lowest set bit
+of the first non-empty level, and walks its unassigned pairs
 (u1:a1), ..., (ut:at) in canonical order: for each position i it first
 branches u_i over every value other than a_i (with u_1..u_{i-1} pinned to
 the nogood's own values), then pins u_i := a_i and moves to position i+1.
@@ -10,7 +12,8 @@ yields at most t*(d-1) child branches per node.
 A child whose value `NogoodState.forbidden(u)` names would complete a live
 nogood and fail at once, so it is counted as a visited node (at depth + 1)
 without being assigned and unwound.  The tree and every node count are
-those of the plain assign-recurse-unassign loop.
+those of the plain assign-recurse-unassign loop.  The search undoes its
+assignments in the reverse order of making them, as the kernel requires.
 """
 
 from __future__ import annotations
@@ -41,26 +44,14 @@ class _Search:
         self.nodes = 0
         self.max_depth = 0
 
-    def select(self) -> int:
-        """Index of the live nogood with fewest unassigned pairs (ties: lowest index)."""
-        left, bad = self.state.left, self.state.bad
-        best, best_count = -1, None
-        for j in range(len(left)):
-            c = left[j]
-            if c > 0 and bad[j] == 0 and (best_count is None or c < best_count):
-                best, best_count = j, c
-                if c == 1:
-                    break
-        return best
-
     def run(self, depth: int):
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
         state = self.state
-        if state.matched > 0:
+        if state.matched:
             return None
-        chosen = self.select()
+        chosen = state.select()
         values = state.values
         if chosen < 0:
             # every nogood killed: any completion satisfies; take zeros
@@ -71,7 +62,6 @@ class _Search:
         pairs = [(v, a) for v, a in self.pair_lists[chosen] if values[v] is None]
         d = self.instance.d
         assign, unassign = state.assign, state.unassign
-        pinned = 0
         for u, a in pairs:
             blocked = state.forbidden(u)
             for value in range(d):
@@ -89,8 +79,7 @@ class _Search:
                     return result
                 unassign(u)
             assign(u, a)
-            pinned += 1
-        for u, _ in reversed(pairs[:pinned]):
+        for u, _ in reversed(pairs):
             unassign(u)
         return None
 

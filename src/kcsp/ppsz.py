@@ -97,10 +97,15 @@ def _iterate(instance: CspInstance, state: NogoodState, s: int):
         forbidden = state.forbidden(y)
         if forbidden:
             narrow += 1
-            choices = [a for a in range(d) if a not in forbidden]
-            if not choices:
+            if len(forbidden) == d:
                 return None, narrow
-            value = choices[words[n + t] % len(choices)]
+            # the (w mod c)-th smallest of the c allowed values, found
+            # without listing the domain
+            value = words[n + t] % (d - len(forbidden))
+            for a in sorted(forbidden):
+                if a > value:
+                    break
+                value += 1
         else:
             value = words[n + t] % d
         state.assign(y, value)

@@ -3,6 +3,10 @@
 Everything here is coded straight from the definitions with plain loops
 and exact arithmetic, no numpy and no calls into the package's solvers
 or oracles (instances are only read as data).  Slow on purpose.
+
+`CounterState` keeps each nogood's status as counters, the plain form of
+`NogoodState`'s bitset levels, and `reference_dpll` is the solver's
+search as a plain loop on it.
 """
 
 from fractions import Fraction
@@ -106,3 +110,98 @@ def exact_iteration_success(instance) -> Fraction:
         return memo[key]
 
     return expect({})
+
+
+class CounterState:
+    """Nogood status kept as per-nogood counters, NogoodState's interface.
+
+    For nogood j, `left[j]` counts its unassigned pairs and `bad[j]` its
+    assigned pairs that disagree with it: it is killed when bad[j] > 0,
+    matched when left[j] == bad[j] == 0, and live otherwise.  `matched`
+    counts matched nogoods, arity-0 ones from the start.  `assign` and
+    `unassign` are exact inverses, in any order; each walks every
+    (nogood, value) occurrence of the variable.
+    """
+
+    def __init__(self, instance):
+        self.by_var = [[] for _ in range(instance.n + 1)]
+        for j, pairs in enumerate(_pair_lists(instance)):
+            for v, a in pairs:
+                self.by_var[v].append((j, a))
+        self._arities = [len(pairs) for pairs in _pair_lists(instance)]
+        self.values = [None] * (instance.n + 1)
+        self.reset()
+
+    def reset(self):
+        self.values[:] = [None] * len(self.values)
+        self.left = list(self._arities)
+        self.bad = [0] * len(self._arities)
+        self.matched = self._arities.count(0)
+
+    def assign(self, var, value):
+        self.values[var] = value
+        for j, a in self.by_var[var]:
+            self.left[j] -= 1
+            if a != value:
+                self.bad[j] += 1
+            elif self.left[j] == 0 and self.bad[j] == 0:
+                self.matched += 1
+
+    def unassign(self, var):
+        value = self.values[var]
+        self.values[var] = None
+        for j, a in self.by_var[var]:
+            if a != value:
+                self.bad[j] -= 1
+            elif self.left[j] == 0 and self.bad[j] == 0:
+                self.matched -= 1
+            self.left[j] += 1
+
+    def forbidden(self, y):
+        return {a for j, a in self.by_var[y] if self.left[j] == 1 and self.bad[j] == 0}
+
+
+def reference_dpll(instance):
+    """The solver's search as a plain loop on CounterState: branch on the
+    live nogood with fewest unassigned pairs (ties: lowest index), and
+    assign, search and unassign every child, including those that fail at
+    once.  Returns (status, assignment, nodes, max_depth)."""
+    state = CounterState(instance)
+    pair_lists = _pair_lists(instance)
+    nodes = max_depth = 0
+
+    def select():
+        live = [
+            (state.left[j], j)
+            for j in range(len(pair_lists))
+            if state.left[j] > 0 and state.bad[j] == 0
+        ]
+        return min(live)[1] if live else -1
+
+    def run(depth):
+        nonlocal nodes, max_depth
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        if state.matched > 0:
+            return None
+        chosen = select()
+        if chosen < 0:
+            return tuple(v if v is not None else 0 for v in state.values[1:])
+        pairs = [(v, a) for v, a in pair_lists[chosen] if state.values[v] is None]
+        for u, a in pairs:
+            for value in range(instance.d):
+                if value == a:
+                    continue
+                state.assign(u, value)
+                result = run(depth + 1)
+                if result is not None:
+                    return result
+                state.unassign(u)
+            state.assign(u, a)
+        for u, _ in reversed(pairs):
+            state.unassign(u)
+        return None
+
+    assignment = run(0)
+    status = "UNSAT" if assignment is None else "SAT"
+    return status, assignment, nodes, max_depth

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kcsp import CspInstance, Nogood, parse_instance, save_instance
-from kcsp.cli import cli_dispatch
+from kcsp.cli import _parse_range, cli_dispatch
 from kcsp.version import __version__
 
 
@@ -458,6 +458,49 @@ class TestErrors:
         flag = argv[-2]
         assert_flag_refused(code, out, err, flag)
         assert err.splitlines()[-1].endswith(f"argument {flag}: {expected}")
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "--alg", "dpll"], ["solve", "--alg", "ppsz"], ["oracle"]],
+        ids=["dpll", "ppsz", "oracle"],
+    )
+    def test_variable_count_past_the_limit(self, capsys, tmp_path, command):
+        # refused when the instance is built, before any per-variable table
+        path = tmp_path / "huge.csp"
+        path.write_text("p csp 1000000000 2\nn 1 1 0\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *command, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == "error: 1000000000 variables exceed the limit of 1048576\n"
+        assert peak < 1 << 22
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--k", "2", "--d", "2..200000000"],
+            ["analyze", "--d", "2", "--k", "2..1002"],
+            ["bench", "growth", "--per-n", "1", "--n", "1..100000"],
+        ],
+        ids=["analyze-d", "analyze-k-1001", "growth-n"],
+    )
+    def test_range_of_more_than_1000_values_refused(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        flag = argv[-2]
+        assert_flag_refused(code, out, err, flag)
+        expected = f"argument {flag}: range {argv[-1]!r} has more than 1000 values"
+        assert err.splitlines()[-1].endswith(expected)
+        assert peak < 1 << 22
+
+    def test_range_of_1000_values_accepted(self):
+        assert _parse_range("2..1001") == list(range(2, 1002))
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

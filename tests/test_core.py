@@ -12,8 +12,8 @@ from kcsp import (
     save_instance,
     serialize_instance,
 )
-from kcsp.core import NogoodState
-from kcsp.generators import gen_coloring
+from kcsp.core import NogoodState, _LimitExceeded
+from kcsp.generators import gen_coloring, gen_uniform
 
 from bruteforce import brute_narrowed_domain, brute_solutions, matches
 from conftest import random_instance
@@ -29,7 +29,17 @@ def narrowed(instance, state, y):
 
 
 def snapshot(state):
-    return list(state.values), list(state.left), list(state.bad), state.matched
+    return list(state.values), list(state.levels)
+
+
+def defined_levels(instance, assigned: dict) -> list[int]:
+    """The levels from their definition: bit j of level c is set iff no
+    assigned pair disagrees with nogood j and c of its pairs are unassigned."""
+    levels = [0] * (max(instance.k_max, 1) + 1)
+    for j, ng in enumerate(instance.nogoods):
+        if all(assigned.get(v, a) == a for v, a in ng.pairs):
+            levels[sum(v not in assigned for v, _ in ng.pairs)] |= 1 << j
+    return levels
 
 
 class TestNogood:
@@ -76,6 +86,22 @@ class TestCspInstance:
         inst = CspInstance(2, 1)
         assert brute_solutions(inst) == [(0, 0)]
 
+    def test_variable_count_limit(self):
+        assert CspInstance(1 << 20, 2).n == 1 << 20
+        with pytest.raises(_LimitExceeded, match="1048577 variables exceed the limit of 1048576"):
+            CspInstance((1 << 20) + 1, 2)
+
+    def test_kernel_tables_name_only_occurring_values(self):
+        # a huge domain costs nothing: only the (v, a) pairs that occur get a mask
+        inst = CspInstance(2, 10**9, [Nogood([(1, 999_999_999), (2, 7)])])
+        touch, match, levels = inst._masks
+        assert touch == [0, 1, 1]
+        assert match[1] == {999_999_999: 1} and match[2] == {7: 1}
+        assert levels == [0, 0, 1]
+        state = NogoodState(inst)
+        state.assign(1, 999_999_999)
+        assert state.forbidden(2) == {7}
+
     def test_equality_and_hash(self):
         a = CspInstance(2, 2, [Nogood([(1, 0)])])
         b = CspInstance(2, 2, [[(1, 0)]])
@@ -87,32 +113,34 @@ class TestNogoodStatus:
     # one nogood, ((1, 0), (2, 1)), read off the kernel as killed, matched or live
     def test_active_with_unassigned_subset(self):
         state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        assert (state.levels, state.matched) == ([0, 0, 1], False)
         state.assign(1, 0)
-        assert (state.left, state.bad, state.matched) == ([1], [0], 0)
+        assert (state.levels, state.matched) == ([0, 1, 0], False)
         assert state.forbidden(2) == {1}
 
     def test_killed_on_disagreement(self):
         state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
         state.assign(1, 1)
-        assert state.bad == [1] and state.matched == 0
+        assert (state.levels, state.matched) == ([0, 0, 0], False)
         assert state.forbidden(2) == set()
 
     def test_matched_when_all_agree(self):
         state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
         state.assign(1, 0)
         state.assign(2, 1)
-        assert (state.left, state.bad, state.matched) == ([0], [0], 1)
+        assert (state.levels, state.matched) == ([1, 0, 0], True)
 
     def test_arity_zero_always_matched(self):
         state = NogoodState(CspInstance(2, 2, [Nogood([]), Nogood([(1, 0)])]))
-        assert (state.left, state.bad, state.matched) == ([0, 1], [0, 0], 1)
+        assert (state.levels, state.matched) == ([0b01, 0b10], True)
         state.assign(1, 0)
-        assert state.matched == 2
+        assert state.levels == [0b11, 0]
         state.unassign(1)
-        assert state.matched == 1
+        assert state.levels == [0b01, 0b10]
         state.assign(1, 1)
+        assert state.levels == [0b01, 0]
         state.reset()
-        assert (state.left, state.bad, state.matched) == ([0, 1], [0, 0], 1)
+        assert (state.levels, state.matched) == ([0b01, 0b10], True)
 
     def test_invariant_under_assignment_insertion_order(self):
         inst = CspInstance(3, 2, [Nogood([(1, 0), (3, 1)])])
@@ -127,7 +155,8 @@ class TestNogoodStatus:
 
 class TestNogoodState:
     def test_counts_match_reference_along_random_walks(self):
-        # a walk that assigns and unassigns variables in any order
+        # a walk that assigns variables in any order and unassigns the
+        # latest one, checking every level against its definition
         rng = random.Random(4104)
         for _ in range(200):
             inst = random_instance(rng)
@@ -135,7 +164,7 @@ class TestNogoodState:
             assigned = {}
             for _ in range(3 * inst.n):
                 if assigned and (len(assigned) == inst.n or rng.random() < 0.3):
-                    y = rng.choice(sorted(assigned))
+                    y = list(assigned)[-1]
                     state.unassign(y)
                     del assigned[y]
                 else:
@@ -144,11 +173,17 @@ class TestNogoodState:
                     state.assign(y, assigned[y])
                 point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
                 assert state.values == [None, *point]
-                assert state.matched == sum(matches(ng.pairs, point) for ng in inst.nogoods)
-                for j, ng in enumerate(inst.nogoods):
-                    disagree = any(v in assigned and assigned[v] != a for v, a in ng.pairs)
-                    assert (state.bad[j] > 0) == disagree
-                    assert state.left[j] == sum(v not in assigned for v, _ in ng.pairs)
+                assert state.levels == defined_levels(inst, assigned)
+                matched = sum(matches(ng.pairs, point) for ng in inst.nogoods)
+                assert state.matched == (matched > 0)
+                # select: fewest unassigned pairs among the live nogoods, then lowest index
+                open_nogoods = [
+                    (sum(v not in assigned for v, _ in ng.pairs), j)
+                    for j, ng in enumerate(inst.nogoods)
+                    if all(assigned.get(v, a) == a for v, a in ng.pairs)
+                    and any(v not in assigned for v, _ in ng.pairs)
+                ]
+                assert state.select() == min(open_nogoods, default=(0, -1))[1]
                 for y in range(1, inst.n + 1):
                     if y not in assigned:
                         expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
@@ -179,6 +214,42 @@ class TestNogoodState:
                 state.assign(y, rng.randrange(inst.d))
             state.reset()
             assert snapshot(state) == initial
+            assert initial[1] == defined_levels(inst, {})
+
+    def test_wide_masks_match_their_definition(self):
+        # past bit 4,096 the masks are built through a bytearray, not by ORs
+        inst = gen_uniform(12, 10, 2, 5000, seed=4107)
+        touch, match, levels = inst._masks
+        for v in range(1, inst.n + 1):
+            named = [
+                (j, dict(ng.pairs)[v]) for j, ng in enumerate(inst.nogoods) if v in ng.variables
+            ]
+            assert touch[v] == sum(1 << j for j, _ in named)
+            assert match[v] == {a: sum(1 << j for j, b in named if b == a) for _, a in named}
+        assert levels == defined_levels(inst, {})
+        rng = random.Random(4108)
+        state = NogoodState(inst)
+        assigned = {}
+        for y in rng.sample(range(1, inst.n + 1), inst.n):
+            assigned[y] = rng.randrange(inst.d)
+            state.assign(y, assigned[y])
+            assert state.levels == defined_levels(inst, assigned)
+
+    def test_out_of_order_unassign_raises(self):
+        inst = CspInstance(3, 2, [Nogood([(1, 0), (2, 1)]), Nogood([(2, 0), (3, 0)])])
+        state = NogoodState(inst)
+        with pytest.raises(RuntimeError, match="out of order"):
+            state.unassign(1)
+        state.assign(1, 0)
+        state.assign(2, 1)
+        before = snapshot(state)
+        for var in (1, 3):
+            with pytest.raises(RuntimeError, match="out of order"):
+                state.unassign(var)
+            assert snapshot(state) == before
+        state.unassign(2)
+        state.unassign(1)
+        assert snapshot(state) == ([None] * 4, defined_levels(inst, {}))
 
 
 class TestIsSatisfying:
@@ -228,7 +299,7 @@ class TestNarrowedDomain:
         # matched from the start, which empties every domain
         inst = CspInstance(2, 3, [Nogood([])])
         state = NogoodState(inst)
-        assert state.matched == 1
+        assert state.levels == [1, 0] and state.matched
         assert state.forbidden(1) == state.forbidden(2) == set()
         assert brute_narrowed_domain(inst, {}, 1) == set()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from kcsp.core import NogoodState
 from kcsp.generators import gen_coloring, gen_uniform
 from kcsp.harness import corpus
 
-from bruteforce import brute_solutions
+from bruteforce import brute_solutions, reference_dpll
 from conftest import random_instance, uniform_sample_500
 
 
@@ -30,51 +31,6 @@ def recurrence_bound(n: int, d: int, k: int) -> int:
     for m in range(1, n + 1):
         T.append(1 + (d - 1) * sum(T[m - i] for i in range(1, min(k, m) + 1)))
     return T[n]
-
-
-def reference_dpll(instance: CspInstance):
-    """The solver's search as a plain loop: every child is assigned,
-    searched and unassigned, including those that fail at once.
-    Returns (status, assignment, nodes, max_depth)."""
-    state = NogoodState(instance)
-    pair_lists = [ng.pairs for ng in instance.nogoods]
-    nodes = max_depth = 0
-
-    def select():
-        live = [
-            (state.left[j], j)
-            for j in range(len(pair_lists))
-            if state.left[j] > 0 and state.bad[j] == 0
-        ]
-        return min(live)[1] if live else -1
-
-    def run(depth):
-        nonlocal nodes, max_depth
-        nodes += 1
-        max_depth = max(max_depth, depth)
-        if state.matched > 0:
-            return None
-        chosen = select()
-        if chosen < 0:
-            return tuple(v if v is not None else 0 for v in state.values[1:])
-        pairs = [(v, a) for v, a in pair_lists[chosen] if state.values[v] is None]
-        for u, a in pairs:
-            for value in range(instance.d):
-                if value == a:
-                    continue
-                state.assign(u, value)
-                result = run(depth + 1)
-                if result is not None:
-                    return result
-                state.unassign(u)
-            state.assign(u, a)
-        for u, _ in reversed(pairs):
-            state.unassign(u)
-        return None
-
-    assignment = run(0)
-    status = "UNSAT" if assignment is None else "SAT"
-    return status, assignment, nodes, max_depth
 
 
 def pigeonhole(pigeons: int, holes: int) -> CspInstance:
@@ -265,3 +221,29 @@ class TestBlockedChildren:
         stats = solve_dpll(pigeonhole(6, 5))
         # the plain loop makes 1,630 assign calls for these 1,305 nodes
         assert stats.nodes == 1305 and calls < stats.nodes
+
+
+class TestPinnedTrees:
+    # sha256 over the instances, in order, of repr((status, assignment,
+    # nodes, max_depth)), recorded with the per-nogood counter kernel
+    DIGEST = "d4b3db8053cbe09e7f210767f22acd48f7f17959aaa4870650e207d4c3c41b46"
+
+    def pinned_set(self):
+        """corpus(), PHP(p, p-1) for p = 4..8, queens 4..12, and 24 seeded
+        uniforms of dpll-refute's two shapes, at tier-1 sizes."""
+        yield from (inst for _, inst in corpus())
+        yield from (pigeonhole(p, p - 1) for p in range(4, 9))
+        yield from (gen_nqueens(size) for size in range(4, 13))
+        yield from (gen_uniform(n, 3, 2, round(8.5 * n), seed=n) for n in range(12, 23))
+        yield from (gen_uniform(n, 2, 3, round(5.2 * n), seed=n) for n in range(20, 46, 2))
+
+    def test_trees_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for inst in self.pinned_set():
+            stats = solve_dpll(inst)
+            tree = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            digest.update(repr(tree).encode())
+            count += 1
+        assert count == len(corpus()) + 5 + 9 + 24
+        assert digest.hexdigest() == self.DIGEST

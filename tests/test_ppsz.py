@@ -28,6 +28,7 @@ from kcsp.harness import corpus
 from kcsp.ppsz import _iterate, _splitmix64, derive_seed, iteration_successes
 
 from bruteforce import (
+    CounterState,
     brute_is_satisfying,
     brute_narrowed_domain,
     brute_solutions,
@@ -69,6 +70,19 @@ class TestRunIteration:
             stats = solve_ppsz(inst, max_repeats=5, seed=0)
             assert stats.status == "FAILURE" and stats.narrow_histogram == {1: 5}
             words.clear()
+
+    def test_huge_domain_is_never_listed(self):
+        # a narrowed variable picks its value without a list of all d values
+        inst = CspInstance(2, 10**9, [Nogood([(1, 5)]), Nogood([(1, 0), (2, 7)])])
+        tracemalloc.start()
+        try:
+            stats = solve_ppsz(inst, max_repeats=20, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.status == "SAT" and is_satisfying(inst, stats.assignment)
+        assert sum(stats.narrow_histogram.values()) == stats.iterations_used
+        assert peak < 1 << 20
 
     def test_completed_iterations_always_satisfy(self):
         # narrowing removes exactly the values that would finish a nogood,
@@ -351,6 +365,25 @@ class TestSolvePpsz:
         stats = solve_ppsz(CspInstance(2, 1), seed=0)
         assert stats.status == "SAT" and stats.assignment == (0, 0)
         assert stats.max_repeats == 1
+
+    def test_same_runs_on_the_counter_kernel(self, monkeypatch):
+        # both kernels read the same stream, so every run makes the same
+        # iterations and ends with the same assignment and histogram
+        rng = random.Random(809)
+        cases = [inst for _, inst in corpus()] + [random_instance(rng) for _ in range(200)]
+        seeds = [rng.randrange(2**32) for _ in cases]
+
+        def runs():
+            return [
+                (stats.status, stats.iterations_used, stats.assignment, stats.narrow_histogram)
+                for stats in (solve_ppsz(inst, max_repeats=64, seed=seed)
+                              for inst, seed in zip(cases, seeds))
+            ]
+
+        bitset = runs()
+        monkeypatch.setattr(ppsz, "NogoodState", CounterState)
+        assert runs() == bitset
+        assert {status for status, *_ in bitset} == {"SAT", "FAILURE"}
 
 
 class TestRepeatCount:

@@ -1,8 +1,10 @@
-"""Hypothesis properties: the instance text format round-trips, and the CLI
-answers any flag values and any instance file with a documented exit code,
-at most one error line and no traceback.  Draws are bounded (n <= 12, at
-most 8 nogoods or edges, small sweeps) so that no example builds a large
-instance; derandomize keeps every run on the same examples."""
+"""Hypothesis properties: the instance text format round-trips, DPLL
+agrees with the oracle and with the reference search on the counter
+kernel, and the CLI answers any flag values and any instance file with a
+documented exit code, at most one error line and no traceback.  Draws are
+bounded (n <= 12, at most 12 nogoods or 8 edges, small sweeps) so that no
+example builds a large instance; derandomize keeps every run on the same
+examples."""
 
 import contextlib
 import io
@@ -12,8 +14,10 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from kcsp import CspInstance, parse_instance, serialize_instance
+from kcsp import CspInstance, enumerate_solutions, parse_instance, serialize_instance, solve_dpll
 from kcsp.cli import cli_dispatch
+
+from bruteforce import reference_dpll
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -32,6 +36,29 @@ def instances(draw):
 def test_parse_inverts_serialize(instance):
     assert parse_instance(serialize_instance(instance)) == instance
 
+
+@st.composite
+def search_instances(draw):
+    """n <= 8, d <= 4, at most 12 nogoods of arity 1..4; one instance in
+    eight also has an arity-0 nogood."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(1, n), st.integers(0, d - 1))
+    nogood = st.lists(pair, min_size=1, max_size=4, unique_by=lambda p: p[0])
+    count = draw(st.integers(0, 11))
+    nogoods = draw(st.lists(nogood, min_size=count, max_size=count))
+    if draw(st.integers(0, 7)) == 7:
+        nogoods.insert(draw(st.integers(0, len(nogoods))), [])
+    return CspInstance(n, d, nogoods)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(search_instances())
+def test_dpll_agrees_with_the_oracle_and_the_counter_kernel_search(instance):
+    stats = solve_dpll(instance)
+    assert (stats.status == "SAT") == (len(enumerate_solutions(instance)) > 0)
+    got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+    assert got == reference_dpll(instance)
 
 def _flag(name, values, always=False):
     """["--name=value"], or one time in eight nothing: a missing flag.  The
