@@ -12,7 +12,6 @@ from kcsp import (
     CspInstance,
     Nogood,
     avg_narrow_count,
-    critical_points,
     enumerate_solutions,
     gen_coloring,
     gen_nqueens,
@@ -25,8 +24,7 @@ from kcsp import (
 triangle = gen_coloring([(1, 2), (2, 3), (1, 3)], num_vertices=3, d=3)
 solutions = enumerate_solutions(triangle)
 print("triangle 3-coloring solutions and their isolation degrees:")
-for point in solutions.solutions:
-    dims = critical_points(point, solutions.as_point_set())
+for point, dims in zip(solutions.solutions, solutions.critical_dims):
     print(f"  X={point}  critical dims={sorted(dims)}  J={len(dims)}")
 
 # queens-4 has two placements; each is isolated in every dimension.

@@ -23,10 +23,8 @@ from .core import (
 )
 from .generators import gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
 from .oracle import (
-    PointSet,
     SolutionSet,
     avg_narrow_count,
-    critical_points,
     enumerate_solutions,
     isolation_degrees,
     verify_lemma2,
@@ -71,10 +69,8 @@ __all__ = [
     "gen_model_rb",
     "gen_nqueens",
     "gen_uniform",
-    "PointSet",
     "SolutionSet",
     "avg_narrow_count",
-    "critical_points",
     "enumerate_solutions",
     "isolation_degrees",
     "verify_lemma2",

@@ -231,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=None)
     gen.add_argument("--k", type=int, default=None)
     gen.add_argument("--m", type=int, default=None)
-    gen.add_argument("--alpha", type=float, default=None)
-    gen.add_argument("--r", type=float, default=None)
-    gen.add_argument("--p", type=float, default=None)
+    gen.add_argument("--alpha", type=_finite_float, default=None)
+    gen.add_argument("--r", type=_finite_float, default=None)
+    gen.add_argument("--p", type=_finite_float, default=None)
     gen.add_argument("--edges", type=_parse_edges, default=None, help='e.g. "1-2,2-3"')
     gen.add_argument("--vertices", type=int, default=None)
     gen.add_argument("--size", type=int, default=None, help="board/square size for latin, nqueens")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(handler=_cmd_solve)
 
     oracle = sub.add_parser("oracle", help="enumerate solutions and isolation degrees")
-    oracle.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    oracle.add_argument("--cap", type=_at_least_one, default=DEFAULT_CAP)
     oracle.add_argument("--out", default=None)
     oracle.add_argument("instance")
     oracle.set_defaults(handler=_cmd_oracle)
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="tabulate roots and bound bases as CSV")
     analyze.add_argument("--d", type=_parse_range, required=True, help='e.g. "2..4"')
     analyze.add_argument("--k", type=_parse_range, required=True, help='e.g. "2..3"')
-    analyze.add_argument("--alpha", type=float, default=None)
-    analyze.add_argument("--epsilon", type=float, default=0.01)
+    analyze.add_argument("--alpha", type=_finite_float, default=None)
+    analyze.add_argument("--epsilon", type=_finite_float, default=0.01)
     analyze.add_argument("--n", type=int, default=None)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(handler=_cmd_analyze)

@@ -19,7 +19,6 @@ assignments in the reverse order of making them, as the kernel requires.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 
 from .core import CspInstance, NogoodState, _LimitExceeded, is_satisfying
@@ -33,7 +32,6 @@ class DpllStats:
     assignment: tuple | None
     nodes: int
     max_depth: int
-    elapsed_s: float
 
 
 class _Search:
@@ -92,7 +90,6 @@ def solve_dpll(instance: CspInstance) -> DpllStats:
     (sys.getrecursionlimit(), 1,000 frames by default, the caller's frames
     included) is refused with _LimitExceeded (a ValueError).
     """
-    start = time.perf_counter()
     search = _Search(instance)
     try:
         assignment = search.run(0)
@@ -101,8 +98,7 @@ def solve_dpll(instance: CspInstance) -> DpllStats:
             f"DPLL search depth exceeds the recursion limit of {sys.getrecursionlimit()} "
             f"frames (n = {instance.n})"
         ) from None
-    elapsed = time.perf_counter() - start
     if assignment is None:
-        return DpllStats("UNSAT", None, search.nodes, search.max_depth, elapsed)
-    return DpllStats("SAT", assignment, search.nodes, search.max_depth, elapsed)
+        return DpllStats("UNSAT", None, search.nodes, search.max_depth)
+    return DpllStats("SAT", assignment, search.nodes, search.max_depth)
 

@@ -23,7 +23,6 @@ from .core import CspInstance, Nogood, _LimitExceeded
 from .generators import gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
-    PointSet,
     _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
@@ -247,7 +246,7 @@ def node_growth_experiment(
     )
 
 
-def _random_subset(rng: random.Random, n: int, d: int) -> PointSet:
+def _random_subset(rng: random.Random, n: int, d: int) -> set:
     # size uniform on [1, min(d^n, 64)], points sampled without replacement
     universe = d**n
     size = 1 + rng.randrange(min(universe, 64))
@@ -259,7 +258,7 @@ def _random_subset(rng: random.Random, n: int, d: int) -> PointSet:
             code, digit = divmod(code, d)
             digits.append(digit)
         points.add(tuple(reversed(digits)))
-    return PointSet.of(points, n, d)
+    return points
 
 
 def verify_campaign(
@@ -284,7 +283,7 @@ def verify_campaign(
             rng = random.Random(derive_seed(seed, cell_index))
             for _ in range(subsets_per_cell):
                 subset = _random_subset(rng, n, d)
-                holds, lhs = verify_lemma2(subset)
+                holds, lhs = verify_lemma2(subset, n, d)
                 failures += not holds
                 records.append(
                     {"n": n, "d": d, "size": len(subset), "lhs": str(lhs), "holds": holds}

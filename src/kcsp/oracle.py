@@ -22,34 +22,6 @@ _MAX_SHARED = 20  # avg_narrow_count's largest u
 
 
 @dataclass(frozen=True)
-class PointSet:
-    """A nonempty subset of D^n given extensionally."""
-
-    points: frozenset
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("point set must be nonempty")
-        for pt in self.points:
-            if len(pt) != self.n:
-                raise ValueError(f"point {pt} is not of length {self.n}")
-            if any(not 0 <= a < self.d for a in pt):
-                raise ValueError(f"point {pt} has values outside 0..{self.d - 1}")
-
-    @classmethod
-    def of(cls, points, n: int, d: int) -> "PointSet":
-        return cls(frozenset(tuple(p) for p in points), n, d)
-
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self.points
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """All solutions of an instance, with per-solution isolation data.
 
@@ -67,9 +39,6 @@ class SolutionSet:
     def __len__(self) -> int:
         return len(self.solutions)
 
-    def as_point_set(self) -> PointSet:
-        return PointSet.of(self.solutions, self.n, self.d)
-
 
 def _critical_dims(X: tuple, S, n: int, d: int) -> set[int]:
     """Dimensions (1-indexed) where some single-value change moves X out of S."""
@@ -83,9 +52,16 @@ def _critical_dims(X: tuple, S, n: int, d: int) -> set[int]:
 
 
 def isolation_degrees(points, n: int, d: int) -> list[int]:
-    """Isolation degree of each point with respect to the given set itself."""
-    S = {tuple(X) for X in points}
-    return [len(_critical_dims(tuple(X), S, n, d)) for X in points]
+    """Isolation degree of each point with respect to the given set itself.
+
+    Raises ValueError if some point is not n values in 0..d-1.
+    """
+    points = [tuple(X) for X in points]
+    S = set(points)
+    for X in S:
+        if len(X) != n or not all(0 <= a < d for a in X):
+            raise ValueError(f"point {X} is not {n} values in 0..{d - 1}")
+    return [len(_critical_dims(X, S, n, d)) for X in points]
 
 
 def _matching_block(pairs, n: int, d: int) -> tuple[list[int], tuple]:
@@ -199,31 +175,19 @@ def enumerate_solutions(instance: CspInstance, cap: int = DEFAULT_CAP) -> Soluti
     return SolutionSet(n, d, solutions, critical_dims, isolation)
 
 
-def critical_points(X, S: PointSet) -> set[int]:
-    """Dimensions (1-indexed) where some single-value change moves X out of S."""
-    X = tuple(X)
-    if X not in S:
-        raise ValueError(f"{X} is not in the point set")
-    return _critical_dims(X, S.points, S.n, S.d)
-
-
-def verify_lemma2(S, n: int | None = None, d: int | None = None) -> tuple[bool, int]:
+def verify_lemma2(points, n: int, d: int) -> tuple[bool, int]:
     """Exact-integer check that sum over S of d^J(x) is at least d^n.
 
     Equivalent to the isolation-weight inequality sum (1/d)^(n-J) >= 1, but
     carried out in big integers so no rounding can produce a false alarm.
+    S is the set of the given points, so a repeated point counts once; an
+    empty S, or a point that is not n values in 0..d-1, raises ValueError.
     Returns (holds, the integer sum); `holds` false indicates a bug.
     """
-    if isinstance(S, PointSet):
-        n, d = S.n, S.d
-        points = sorted(S.points)
-    else:
-        if n is None or d is None:
-            raise ValueError("n and d are required when S is a bare point collection")
-        S = PointSet.of(S, n, d)
-        points = sorted(S.points)
-    degrees = isolation_degrees(points, n, d)
-    lhs = sum(d**j for j in degrees)
+    S = {tuple(X) for X in points}
+    if not S:
+        raise ValueError("point set must be nonempty")
+    lhs = sum(d**j for j in isolation_degrees(S, n, d))
     return lhs >= d**n, lhs
 
 

@@ -18,7 +18,6 @@ is the block's row i.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +75,6 @@ class PpszStats:
     max_repeats: int
     seed: int
     narrow_histogram: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
 
 
 def _iterate(instance: CspInstance, state: NogoodState, s: int):
@@ -292,7 +290,6 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
     budget.  Iteration i reads the words that `iteration_successes` reads
     for it, so it succeeds exactly when that function's entry i is 1.
     """
-    start = time.perf_counter()
     if max_repeats is None:
         max_repeats = default_max_repeats(instance)
     if max_repeats < 1:
@@ -305,21 +302,12 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
         if assignment is not None:
             if not is_satisfying(instance, assignment):
                 raise RuntimeError(f"PPSZ iteration {iteration} completed on a nogood match")
-            return PpszStats(
-                status="SAT",
-                assignment=assignment,
-                iterations_used=iteration,
-                max_repeats=max_repeats,
-                seed=seed,
-                narrow_histogram=histogram,
-                elapsed_s=time.perf_counter() - start,
-            )
+            break
     return PpszStats(
-        status="FAILURE",
-        assignment=None,
-        iterations_used=max_repeats,
+        status="FAILURE" if assignment is None else "SAT",
+        assignment=assignment,
+        iterations_used=iteration,
         max_repeats=max_repeats,
         seed=seed,
         narrow_histogram=histogram,
-        elapsed_s=time.perf_counter() - start,
     )

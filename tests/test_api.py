@@ -15,7 +15,6 @@ PUBLIC = [
     "ExperimentResult",
     "Nogood",
     "ParseError",
-    "PointSet",
     "PpszStats",
     "RootResult",
     "SolutionSet",
@@ -26,7 +25,6 @@ PUBLIC = [
     "bound_variable_domain_ppsz",
     "char_root",
     "corpus",
-    "critical_points",
     "dpll_bound_base",
     "enumerate_solutions",
     "estimate_iteration_success",

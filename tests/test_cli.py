@@ -218,6 +218,13 @@ class TestOracle:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_cap_below_one_refused(self, capsys, tmp_path, triangle_path, value):
+        path = tmp_path / "oracle.json"
+        code, out, err = run(capsys, "oracle", "--cap", value, "--out", str(path), triangle_path)
+        assert_flag_refused(code, out, err, "--cap")
+        assert not path.exists()
+
     @pytest.mark.parametrize("n", [40, 30])
     def test_oversized_cap_refused_before_allocating(self, capsys, tmp_path, n):
         # 2^40 points is over the cap; 2^30 is under it but over the point limit
@@ -396,6 +403,25 @@ class TestBench:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen", "model-rb", "--n", "12", "--r", "3", "--p", "0.2", "--k", "2"], "--alpha"),
+            (["gen", "model-rb", "--n", "12", "--alpha", "0.8", "--p", "0.2", "--k", "2"], "--r"),
+            (["gen", "model-rb", "--n", "12", "--alpha", "0.8", "--r", "3", "--k", "2"], "--p"),
+            (["analyze", "--d", "2", "--k", "2", "--n", "5"], "--alpha"),
+            (["analyze", "--d", "2", "--k", "2", "--n", "5", "--alpha", "1"], "--epsilon"),
+        ],
+        ids=["gen-alpha", "gen-r", "gen-p", "analyze-alpha", "analyze-epsilon"],
+    )
+    def test_float_flag_must_be_finite(self, capsys, tmp_path, argv, flag, value):
+        # "=" keeps argparse from reading "-inf" as a flag of its own
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, f"{flag}={value}", "--out", str(path))
+        assert_flag_refused(code, out, err, flag)
+        assert not path.exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import random
@@ -126,10 +125,7 @@ class TestVerdicts:
 class TestNodeCounts:
     def test_determinism(self):
         inst = gen_uniform(7, 2, 3, 14, seed=5)
-        first, second = solve_dpll(inst), solve_dpll(inst)
-        for field in dataclasses.fields(first):
-            if field.name != "elapsed_s":
-                assert getattr(first, field.name) == getattr(second, field.name), field.name
+        assert solve_dpll(inst) == solve_dpll(inst)
 
     @pytest.mark.parametrize(
         "name,status,nodes,max_depth",

@@ -9,9 +9,7 @@ import pytest
 from kcsp import (
     CspInstance,
     Nogood,
-    PointSet,
     avg_narrow_count,
-    critical_points,
     enumerate_solutions,
     isolation_degrees,
     verify_lemma2,
@@ -120,28 +118,41 @@ class TestEnumerateSolutions:
             assert_matches_reference(CspInstance(140, 1, [nogood]))
 
 
+def with_solutions(points, n, d):
+    """An instance whose solution set is exactly `points`: one nogood on all
+    n variables for every other point of D^n."""
+    keep = set(points)
+    others = [X for X in itertools.product(range(d), repeat=n) if X not in keep]
+    return CspInstance(n, d, [Nogood(list(enumerate(X, start=1))) for X in others])
+
+
 class TestCriticalPoints:
+    """Critical dimensions by the mask (enumerate_solutions), by the points
+    themselves (isolation_degrees) and by the reference copy in bruteforce."""
+
     def test_singleton_fully_critical(self):
-        S = PointSet.of({(0, 1, 0)}, 3, 2)
-        assert critical_points((0, 1, 0), S) == {1, 2, 3}
+        sols = enumerate_solutions(with_solutions({(0, 1, 0)}, 3, 2))
+        assert sols.solutions == ((0, 1, 0),) and sols.critical_dims == ((1, 2, 3),)
+        assert isolation_degrees([(0, 1, 0)], 3, 2) == [3]
 
     def test_full_space_has_no_critical_dims(self):
-        points = set(itertools.product(range(2), repeat=2))
-        S = PointSet.of(points, 2, 2)
-        assert critical_points((0, 0), S) == set()
+        sols = enumerate_solutions(CspInstance(2, 2))
+        assert sols.critical_dims == ((),) * 4
+        assert isolation_degrees(sols.solutions, 2, 2) == [0] * 4
 
     def test_two_point_example(self):
-        S = PointSet.of({(0, 0), (0, 1)}, 2, 2)
-        assert critical_points((0, 0), S) == {1}
+        sols = enumerate_solutions(CspInstance(2, 2, [Nogood([(1, 1)])]))
+        assert sols.solutions == ((0, 0), (0, 1)) and sols.critical_dims == ((1,), (1,))
+        assert isolation_degrees(sols.solutions, 2, 2) == [1, 1]
+        assert isolation_degrees(iter(sols.solutions), 2, 2) == [1, 1]
 
     def test_outside_point_rejected(self):
-        S = PointSet.of({(0, 0)}, 2, 2)
-        with pytest.raises(ValueError):
-            critical_points((1, 1), S)
+        # a value outside 0..d-1, or a point of the wrong length
+        for points in ([(0, 5)], [(0, -1)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
+            with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
+                isolation_degrees(points, 2, 2)
 
     def test_three_routes_agree_on_fuzz(self):
-        # isolation_degrees and critical_points (one definitional loop
-        # behind both) against the reference copy in bruteforce
         rng = random.Random(556)
         for _ in range(120):
             n = rng.randint(1, 4)
@@ -149,21 +160,24 @@ class TestCriticalPoints:
             universe = list(itertools.product(range(d), repeat=n))
             size = rng.randint(1, min(len(universe), 10))
             points = rng.sample(universe, size)
-            S = PointSet.of(points, n, d)
-            ordered = sorted(S.points)
-            degrees = isolation_degrees(ordered, n, d)
-            for X, degree in zip(ordered, degrees):
-                literal = critical_points(X, S)
-                reference = brute_critical_dims(X, ordered, n, d)
-                assert literal == reference
-                assert len(literal) == degree
+            sols = enumerate_solutions(with_solutions(points, n, d))
+            assert sols.solutions == tuple(sorted(points))
+            reference = [brute_critical_dims(X, points, n, d) for X in sols.solutions]
+            assert [set(dims) for dims in sols.critical_dims] == reference
+            # unsorted input keeps its order
+            degrees = isolation_degrees(points, n, d)
+            assert degrees == [len(brute_critical_dims(X, points, n, d)) for X in points]
 
     def test_solution_set_routes_agree_on_corpus(self):
         for name, inst in corpus():
             sols = enumerate_solutions(inst)
-            S = sols.as_point_set() if len(sols) else None
             for X, dims in zip(sols.solutions, sols.critical_dims):
-                assert set(dims) == critical_points(X, S), name
+                assert set(dims) == brute_critical_dims(X, sols.solutions, inst.n, inst.d), name
+
+    def test_isolation_degrees_match_the_mask_on_corpus(self):
+        for name, inst in corpus():
+            sols = enumerate_solutions(inst)
+            assert isolation_degrees(sols.solutions, inst.n, inst.d) == list(sols.isolation), name
 
 
 class TestIsolationPastInt64:
@@ -173,8 +187,7 @@ class TestIsolationPastInt64:
     def test_last_coordinate_free(self, n, d):
         points = [(d - 1,) * (n - 1) + (a,) for a in range(d)]
         assert isolation_degrees(points, n, d) == [n - 1] * d
-        S = PointSet.of(points, n, d)
-        assert all(critical_points(X, S) == set(range(1, n)) for X in points)
+        assert all(brute_critical_dims(X, points, n, d) == set(range(1, n)) for X in points)
 
     def test_lemma2_sum_exact(self):
         # each point has J = 39, so the sum is 3 * 3^39 = 3^40 exactly
@@ -186,42 +199,40 @@ class TestIsolationPastInt64:
         assert isolation_degrees(points, 64, 2) == [63, 64, 63]
 
 
-class TestPointSet:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PointSet.of(set(), 2, 2)
-        with pytest.raises(ValueError):
-            PointSet.of({(0, 5)}, 2, 2)
-        with pytest.raises(ValueError):
-            PointSet.of({(0,)}, 2, 2)
-
-    def test_membership(self):
-        S = PointSet.of({(0, 1)}, 2, 2)
-        assert (0, 1) in S and (1, 1) not in S
-        assert len(S) == 1
-
-
 class TestVerifyLemma2:
     def test_singleton_equality(self):
-        holds, lhs = verify_lemma2(PointSet.of({(1, 0, 1)}, 3, 2))
+        holds, lhs = verify_lemma2({(1, 0, 1)}, 3, 2)
         assert holds and lhs == 8
 
     def test_full_space_equality(self):
         points = set(itertools.product(range(2), repeat=2))
-        holds, lhs = verify_lemma2(PointSet.of(points, 2, 2))
+        holds, lhs = verify_lemma2(points, 2, 2)
         assert holds and lhs == 4
 
     def test_triangle_solution_set(self):
-        S = enumerate_solutions(triangle()).as_point_set()
-        holds, lhs = verify_lemma2(S)
+        sols = enumerate_solutions(triangle())
+        holds, lhs = verify_lemma2(sols.solutions, sols.n, sols.d)
         assert holds and lhs == 6 * 27
 
     def test_bare_collection_needs_n_and_d(self):
         # each point has J = 1 (only its first coordinate is critical)
         holds, lhs = verify_lemma2([(0, 0), (0, 1)], n=2, d=2)
         assert holds and lhs == 2 + 2
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             verify_lemma2([(0, 0)])
+
+    def test_repeated_points_count_once(self):
+        # S is a set: (0, 0) twice is still the two-point set above, and a
+        # list and a tuple of the same values are one point (J = 2), not two
+        assert verify_lemma2([(0, 0), (0, 1), (0, 0)], 2, 2) == (True, 4)
+        assert verify_lemma2([[0, 1], (0, 1)], 2, 2) == (True, 4)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_lemma2([], 2, 2)
+        for points in ([(0, 5)], [(0, -1)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
+            with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
+                verify_lemma2(points, 2, 2)
 
     def test_holds_on_fuzz(self):
         rng = random.Random(557)
@@ -230,7 +241,7 @@ class TestVerifyLemma2:
             d = rng.randint(2, 4)
             universe = list(itertools.product(range(d), repeat=n))
             points = rng.sample(universe, rng.randint(1, min(len(universe), 12)))
-            holds, lhs = verify_lemma2(PointSet.of(points, n, d))
+            holds, lhs = verify_lemma2(points, n, d)
             assert holds and lhs >= d**n
 
 

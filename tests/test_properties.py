@@ -2,8 +2,9 @@
 agrees with the oracle and with the reference search on the counter
 kernel, and the CLI answers any flag values and any instance file with a
 documented exit code, at most one error line and no traceback.  Draws are
-bounded (n <= 12, at most 12 nogoods or 8 edges, small sweeps) so that no
-example builds a large instance; derandomize keeps every run on the same
+bounded (n <= 12, at most 12 nogoods or 8 edges, or 109 nogoods for the
+DPLL property's threshold instances, small sweeps) so that no example
+builds a large instance; derandomize keeps every run on the same
 examples."""
 
 import contextlib
@@ -12,9 +13,18 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcsp import CspInstance, enumerate_solutions, parse_instance, serialize_instance, solve_dpll
+from kcsp import (
+    CspInstance,
+    enumerate_solutions,
+    gen_coloring,
+    parse_instance,
+    save_instance,
+    serialize_instance,
+    solve_dpll,
+)
 from kcsp.cli import cli_dispatch
 
 from bruteforce import reference_dpll
@@ -39,14 +49,31 @@ def test_parse_inverts_serialize(instance):
 
 @st.composite
 def search_instances(draw):
-    """n <= 8, d <= 4, at most 12 nogoods of arity 1..4; one instance in
-    eight also has an arity-0 nogood."""
-    n = draw(st.integers(1, 8))
-    d = draw(st.integers(1, 4))
-    pair = st.tuples(st.integers(1, n), st.integers(0, d - 1))
-    nogood = st.lists(pair, min_size=1, max_size=4, unique_by=lambda p: p[0])
-    count = draw(st.integers(0, 11))
-    nogoods = draw(st.lists(nogood, min_size=count, max_size=count))
+    """Half the draws: n <= 8, d <= 4, at most 11 nogoods of arity 1..4.
+    The other half: 6 <= n <= 12 and (d, k) one of (2, 2), (2, 3), (3, 2),
+    with half to one and a half times the nogoods per variable near which
+    such instances turn unsatisfiable, so that some searches visit tens of
+    nodes.  One instance in eight also has an arity-0 nogood."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        d = draw(st.integers(1, 4))
+        pair = st.tuples(st.integers(1, n), st.integers(0, d - 1))
+        nogood = st.lists(pair, min_size=1, max_size=4, unique_by=lambda p: p[0])
+        count = draw(st.integers(0, 11))
+        nogoods = draw(st.lists(nogood, min_size=count, max_size=count))
+    else:
+        d, k, per_variable = draw(st.sampled_from([(2, 2, 1.0), (2, 3, 4.3), (3, 2, 6.0)]))
+        n = draw(st.integers(6, 12))
+        count = draw(st.integers(int(n * per_variable / 2), int(n * per_variable * 1.5)))
+        # k pair codes (v - 1) * d + a per nogood; a repeated variable keeps
+        # its first value, so a few nogoods are narrower than k
+        codes = draw(st.lists(st.integers(0, n * d - 1), min_size=count * k, max_size=count * k))
+        nogoods = []
+        for first in range(0, len(codes), k):
+            pairs = {}
+            for code in codes[first : first + k]:
+                pairs.setdefault(1 + code // d, code % d)
+            nogoods.append(list(pairs.items()))
     if draw(st.integers(0, 7)) == 7:
         nogoods.insert(draw(st.integers(0, len(nogoods))), [])
     return CspInstance(n, d, nogoods)
@@ -145,6 +172,62 @@ def test_bench_growth_answers_any_flag_values_with_a_documented_code(argv):
 @given(verify_argv)
 def test_verify_answers_any_flag_values_with_a_documented_code(argv):
     _check_documented_answer(argv)
+
+
+float_values = st.one_of(st.floats(-1, 3, allow_nan=False).map(lambda x: round(x, 3)),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))
+file_argv = st.one_of(
+    _argv(st.just(["solve"]), _flag("alg", st.sampled_from(["dpll", "ppsz", "brute", "walk"])),
+          _flag("seed", st.integers(-1, 2**64)), _flag("max-repeats", st.integers(-2, 8))),
+    _argv(st.just(["oracle"]), _flag("cap", st.integers(-3, 36))),
+)
+analyze_argv = _argv(
+    st.just(["analyze"]), _flag("d", n_range), _flag("k", n_range),
+    _flag("alpha", float_values), _flag("epsilon", float_values), _flag("n", st.integers(-1, 12)),
+)
+
+
+def _value(argv, flag):
+    """The text given as --flag=text in argv, or None."""
+    for word in argv:
+        if word.startswith(f"--{flag}="):
+            return word.partition("=")[2]
+    return None
+
+
+@pytest.fixture(scope="module")
+def small_instances(tmp_path_factory):
+    """The triangle 3-coloring (SAT, 3^3 points) and an UNSAT 3-variable
+    instance, as files."""
+    folder = tmp_path_factory.mktemp("instances")
+    paths = {}
+    for name, instance in [
+        ("sat", gen_coloring([(1, 2), (2, 3), (1, 3)], 3, 3)),
+        ("unsat", CspInstance(3, 2, [[(1, 0), (2, 0)], [(1, 1)], [(2, 1), (3, 0)], [(3, 1)]])),
+    ]:
+        paths[name] = str(folder / f"{name}.csp")
+        save_instance(instance, paths[name])
+    return paths
+
+
+@SETTINGS
+@given(file_argv, st.sampled_from(["sat", "unsat"]))
+def test_solve_and_oracle_answer_any_flag_values_with_a_documented_code(
+    small_instances, argv, name
+):
+    code = _check_documented_answer(argv + [small_instances[name]])
+    if any(value is not None and int(value) < 1
+           for value in (_value(argv, "cap"), _value(argv, "max-repeats"))):
+        assert code == 2, argv
+
+
+@SETTINGS
+@given(analyze_argv)
+def test_analyze_answers_any_flag_values_with_a_documented_code(argv):
+    code = _check_documented_answer(argv)
+    if any(value is not None and not math.isfinite(float(value))
+           for value in (_value(argv, "alpha"), _value(argv, "epsilon"))):
+        assert code == 2, argv
 
 
 @st.composite
