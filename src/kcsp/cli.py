@@ -16,6 +16,7 @@ command with the same seed reproduces those files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -214,6 +215,10 @@ def _cmd_bench(args) -> int:
     return _report(result, args.out)
 
 
+# Built once per process.  A subcommand's `handler` default is the name of its
+# _cmd_* function, looked up by cli_dispatch at call time (like _GEN_FLAGS), so a
+# wrapper on the module attribute (bench/tracing.py) is what a later call runs.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcsp",
@@ -237,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--edges", type=_parse_edges, default=None, help='e.g. "1-2,2-3"')
     gen.add_argument("--vertices", type=int, default=None)
     gen.add_argument("--size", type=int, default=None, help="board/square size for latin, nqueens")
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler="_cmd_gen")
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--alg", choices=["dpll", "ppsz", "brute"], required=True)
@@ -245,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-repeats", type=_at_least_one, default=None, help="ppsz only")
     solve.add_argument("--stats", default=None, help="also write the JSON payload here")
     solve.add_argument("instance")
-    solve.set_defaults(handler=_cmd_solve)
+    solve.set_defaults(handler="_cmd_solve")
 
     oracle = sub.add_parser("oracle", help="enumerate solutions and isolation degrees")
     oracle.add_argument("--cap", type=_at_least_one, default=DEFAULT_CAP)
     oracle.add_argument("--out", default=None)
     oracle.add_argument("instance")
-    oracle.set_defaults(handler=_cmd_oracle)
+    oracle.set_defaults(handler="_cmd_oracle")
 
     verify = sub.add_parser("verify", help="run a verification campaign")
     verify.add_argument("kind", choices=["lemma1", "lemma2"])
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
     verify.add_argument("--max-n", type=int, default=7, help="lemma1 corpus cutoff")
     verify.add_argument("--subsets", type=int, default=1000, help="lemma2 subsets per (n, d)")
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler="_cmd_verify")
 
     analyze = sub.add_parser("analyze", help="tabulate roots and bound bases as CSV")
     analyze.add_argument("--d", type=_parse_range, required=True, help='e.g. "2..4"')
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--epsilon", type=_finite_float, default=0.01)
     analyze.add_argument("--n", type=int, default=None)
     analyze.add_argument("--out", default=None)
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler="_cmd_analyze")
 
     bench = sub.add_parser("bench", help="run a canned experiment")
     bench.add_argument("mode", choices=["prob", "growth"])
@@ -276,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None)
     bench.add_argument("--trials", type=int, default=20000, help="prob mode")
     bench.add_argument("--instance", default=None, help="prob mode: instance file")
-    bench.add_argument("--n", type=_parse_range, default=list(range(8, 13)), help="growth mode")
+    bench.add_argument("--n", type=_parse_range, default=tuple(range(8, 13)), help="growth mode")
     bench.add_argument("--per-n", type=int, default=20, help="growth mode")
     bench.add_argument("--d", type=int, default=2, help="growth mode")
     bench.add_argument("--k", type=int, default=2, help="growth mode")
     bench.add_argument("--m-per-n", type=_finite_float, default=4.0, help="growth mode")
-    bench.set_defaults(handler=_cmd_bench)
+    bench.set_defaults(handler="_cmd_bench")
     return parser
 
 
@@ -292,7 +297,7 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (_LimitExceeded, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

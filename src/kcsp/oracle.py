@@ -6,6 +6,7 @@ narrow-choice average, summed per variable from a solution's own nogoods.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,28 +41,39 @@ class SolutionSet:
         return len(self.solutions)
 
 
-def _critical_dims(X: tuple, S, n: int, d: int) -> set[int]:
-    """Dimensions (1-indexed) where some single-value change moves X out of S."""
-    crit = set()
-    for i in range(n):
-        for a in range(d):
-            if a != X[i] and (*X[:i], a, *X[i + 1 :]) not in S:
-                crit.add(i + 1)
-                break
-    return crit
-
-
 def isolation_degrees(points, n: int, d: int) -> list[int]:
     """Isolation degree of each point with respect to the given set itself.
 
-    Raises ValueError if some point is not n values in 0..d-1.
+    One degree per input point, in input order, repeats included.  Each
+    distinct point is coded as the Python int sum X_i d^(n-1-i), so its
+    neighbour with X_i changed to a is code + (a - X_i) d^(n-1-i) and is
+    probed in the set of codes without building a tuple.  Python ints do
+    not wrap, so the codes are exact for any d^n.  Raises ValueError if
+    some point is not n integer values in 0..d-1.
     """
-    points = [tuple(X) for X in points]
-    S = set(points)
-    for X in S:
-        if len(X) != n or not all(0 <= a < d for a in X):
+    rows = [tuple(X) for X in points]
+    digits_of = {}
+    for X in dict.fromkeys(rows):
+        digits = tuple(map(int, X))  # numpy scalars would wrap in the code arithmetic
+        if len(digits) != n or digits != X or (n and not 0 <= min(digits) <= max(digits) < d):
             raise ValueError(f"point {X} is not {n} values in 0..{d - 1}")
-    return [len(_critical_dims(X, S, n, d)) for X in points]
+        digits_of[X] = digits
+    powers = [d ** (n - 1 - i) for i in range(n)]
+    codes = [sum(map(operator.mul, digits, powers)) for digits in digits_of.values()]
+    S = set(codes)
+    values = range(d)
+    degrees = []
+    for code, digits in zip(codes, digits_of.values()):
+        degree = 0
+        for x, power in zip(digits, powers):
+            base = code - x * power
+            for a in values:
+                if a != x and base + a * power not in S:
+                    degree += 1
+                    break
+        degrees.append(degree)
+    degree_of = dict(zip(digits_of, degrees))
+    return [degree_of[X] for X in rows]
 
 
 def _matching_block(pairs, n: int, d: int) -> tuple[list[int], tuple]:

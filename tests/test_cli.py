@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import kcsp.cli
 from kcsp import CspInstance, Nogood, parse_instance, save_instance
-from kcsp.cli import _parse_range, cli_dispatch
+from kcsp.cli import _parse_range, build_parser, cli_dispatch
 from kcsp.version import __version__
 
 
@@ -42,6 +43,25 @@ def unsat_path(tmp_path):
         CspInstance(1, 2, [Nogood([(1, 0)]), Nogood([(1, 1)])]), path
     )
     return str(path)
+
+
+class TestDispatch:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_handler_looked_up_at_call_time(self, capsys, monkeypatch, triangle_path):
+        # a wrapper put on the module attribute after the parser exists, as
+        # bench/tracing.py installs one, is what the next dispatch runs
+        assert run(capsys, "solve", "--alg", "dpll", triangle_path)[0] == 0
+        seen = []
+        monkeypatch.setattr(kcsp.cli, "_cmd_solve", lambda args: seen.append(args.alg) or 7)
+        assert run(capsys, "solve", "--alg", "brute", triangle_path)[0] == 7
+        assert seen == ["brute"]
+
+    def test_defaults_are_immutable(self):
+        # every dispatch shares the cached parser's default objects
+        args = build_parser().parse_args(["bench", "growth"])
+        assert args.n == (8, 9, 10, 11, 12)
 
 
 class TestGen:

@@ -147,8 +147,8 @@ class TestCriticalPoints:
         assert isolation_degrees(iter(sols.solutions), 2, 2) == [1, 1]
 
     def test_outside_point_rejected(self):
-        # a value outside 0..d-1, or a point of the wrong length
-        for points in ([(0, 5)], [(0, -1)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
+        # a value outside 0..d-1 or not an integer, or a point of the wrong length
+        for points in ([(0, 5)], [(0, -1)], [(0, 0.5)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
             with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
                 isolation_degrees(points, 2, 2)
 
@@ -230,7 +230,7 @@ class TestVerifyLemma2:
     def test_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
             verify_lemma2([], 2, 2)
-        for points in ([(0, 5)], [(0, -1)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
+        for points in ([(0, 5)], [(0, -1)], [(0, 0.5)], [(0,)], [(0, 0, 0)], [(0, 0), (1, 2)]):
             with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
                 verify_lemma2(points, 2, 2)
 

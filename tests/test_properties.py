@@ -1,6 +1,7 @@
 """Hypothesis properties: the instance text format round-trips, DPLL
 agrees with the oracle and with the reference search on the counter
-kernel, and the CLI answers any flag values and any instance file with a
+kernel, isolation degrees match the definition on point sets with
+n <= 64, and the CLI answers any flag values and any instance file with a
 documented exit code, at most one error line and no traceback.  Draws are
 bounded (n <= 12, at most 12 nogoods or 8 edges, or 109 nogoods for the
 DPLL property's threshold instances, small sweeps) so that no example
@@ -12,7 +13,9 @@ import io
 import math
 import os
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from kcsp import (
     CspInstance,
     enumerate_solutions,
     gen_coloring,
+    isolation_degrees,
     parse_instance,
     save_instance,
     serialize_instance,
@@ -27,7 +31,7 @@ from kcsp import (
 )
 from kcsp.cli import cli_dispatch
 
-from bruteforce import reference_dpll
+from bruteforce import brute_critical_dims, reference_dpll
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -86,6 +90,61 @@ def test_dpll_agrees_with_the_oracle_and_the_counter_kernel_search(instance):
     assert (stats.status == "SAT") == (len(enumerate_solutions(instance)) > 0)
     got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
     assert got == reference_dpll(instance)
+
+@st.composite
+def point_lists(draw):
+    """Up to 24 points in {0..d-1}^n, n <= 64 and d <= 12, each at most two
+    coordinates from one of up to three centres, then every value of one or
+    two coordinates of a centre (so that some dimensions are not critical),
+    then up to four repeats, shuffled."""
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 12))
+    value = st.integers(0, d - 1)
+    centres = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))
+    points = []
+    for _ in range(draw(st.integers(1, 24))):
+        point = list(draw(st.sampled_from(centres)))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            point[i] = draw(value)
+        points.append(tuple(point))
+    centre = draw(st.sampled_from(centres))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        points += [(*centre[:i], a, *centre[i + 1 :]) for a in range(d)]
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return draw(st.permutations(points)), n, d
+
+
+@SETTINGS
+@given(point_lists(), st.booleans())
+def test_isolation_degrees_match_the_definition(case, as_iterator):
+    points, n, d = case
+    S = set(points)
+    expected = [len(brute_critical_dims(X, S, n, d)) for X in points]
+    assert isolation_degrees(iter(points) if as_iterator else points, n, d) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("n, d", [(40, 3), (41, 3), (64, 2)])
+def test_isolation_degrees_on_numpy_rows_past_int64(n, d, dtype):
+    # d^n >= 2^63: numpy scalars in the code arithmetic would wrap or raise
+    rng = np.random.default_rng(n * d)
+    centre = rng.integers(0, d, n)
+    rows = [centre.copy() for _ in range(12)]
+    for row in rows[1:]:
+        row[rng.integers(0, n, 2)] = rng.integers(0, d, 2)
+    for i in (0, n // 2, n - 1):
+        for a in range(d):
+            rows.append(centre.copy())
+            rows[-1][i] = a
+    rows = np.array(rows, dtype=dtype)
+    points = [tuple(map(int, row)) for row in rows]
+    expected = [len(brute_critical_dims(X, points, n, d)) for X in points]
+    assert isolation_degrees(points, n, d) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isolation_degrees(rows, n, d) == expected
+        assert isolation_degrees(list(rows), n, d) == expected
+
 
 def _flag(name, values, always=False):
     """["--name=value"], or one time in eight nothing: a missing flag.  The
