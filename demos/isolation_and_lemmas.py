@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from kcsp import (
     CspInstance,
-    Nogood,
     avg_narrow_count,
     enumerate_solutions,
     gen_coloring,
@@ -47,7 +46,7 @@ for trial in range(5):
 # Narrow choices: running through the variables in random order, a
 # variable is narrowly chosen when some nogood already forbids one of
 # its values.  Averaged over all orders, the count is at least J/k.
-forcing = CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
+forcing = CspInstance(2, 2, [[(1, 0)], [(1, 1), (2, 0)]])
 result = avg_narrow_count(forcing, (1, 1))
 print("\nforcing instance, solution (1,1):")
 print(f"  exact average narrow count = {result.average} over {result.orders} orders")

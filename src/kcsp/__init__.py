@@ -13,7 +13,6 @@ for reproducible experiments.
 from .version import __version__
 from .core import (
     CspInstance,
-    Nogood,
     ParseError,
     is_satisfying,
     load_instance,
@@ -57,7 +56,6 @@ from .harness import (
 __all__ = [
     "__version__",
     "CspInstance",
-    "Nogood",
     "ParseError",
     "is_satisfying",
     "load_instance",

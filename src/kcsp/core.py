@@ -4,12 +4,16 @@ A problem over n variables (indexed 1..n) with domain {0..d-1} is a list
 of nogoods.  A nogood is a partial assignment, given as (variable, value)
 pairs, that a total assignment must not match in full.  An assignment
 satisfies the instance iff no nogood is fully matched.
+
+`CspInstance(n, d, nogoods)` takes each nogood as a plain list of pairs;
+`_canonical` checks and sorts one nogood's pairs for the constructor and
+the parser alike, so both refuse the same faults with the same messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -30,35 +34,45 @@ class _LimitExceeded(ValueError):
 _MAX_VARIABLES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Nogood:
-    """A forbidden partial assignment; pairs are kept sorted by variable index."""
+class _NogoodRecord(NamedTuple):
+    """One nogood as `CspInstance.nogoods` holds it: its canonical pairs."""
 
     pairs: tuple[tuple[int, int], ...]
 
-    def __init__(self, pairs):
-        pairs = tuple(sorted((int(v), int(a)) for v, a in pairs))
-        seen = set()
-        for v, _ in pairs:
-            if v in seen:
-                raise ValueError(f"variable {v} appears twice in nogood {pairs}")
-            seen.add(v)
-        object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def arity(self) -> int:
-        return len(self.pairs)
+def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
+    """One nogood's (variable, value) pairs as ints, sorted by variable.
 
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.pairs)
+    The pairs are checked in the order given, each for its variable in
+    1..n, then its value in 0..d-1, then a variable named before; the
+    first fault raises ValueError.
+    """
+    canonical = []
+    seen = set()
+    for v, a in pairs:
+        v, a = int(v), int(a)
+        if not 1 <= v <= n:
+            raise ValueError(f"variable {v} out of range 1..{n}")
+        if not 0 <= a < d:
+            raise ValueError(f"value {a} out of range 0..{d - 1}")
+        if v in seen:
+            raise ValueError(f"variable {v} repeated within nogood")
+        seen.add(v)
+        canonical.append((v, a))
+    canonical.sort()
+    return tuple(canonical)
 
 
 class CspInstance:
     """Immutable CSP instance: n variables over {0..d-1} plus a nogood list.
 
-    Nogoods are canonicalized (pairs sorted by variable) and deduplicated,
-    keeping first-occurrence order.  Safe to share across threads.
+    Each nogood is given as an iterable of (variable, value) pairs.  Its
+    entries become ints and its pairs are sorted by variable; a variable
+    outside 1..n, a value outside 0..d-1 or a variable named twice in one
+    nogood raises ValueError.  Repeated nogoods are dropped, keeping
+    first-occurrence order.  `nogoods` holds one record per nogood, whose
+    `pairs` is that sorted tuple (pass those `pairs` to build another
+    instance from them).  Safe to share across threads.
     """
 
     def __init__(self, n: int, d: int, nogoods=()):
@@ -70,21 +84,9 @@ class CspInstance:
             raise _LimitExceeded(f"{n} variables exceed the limit of {_MAX_VARIABLES}")
         self.n = n
         self.d = d
-        canonical = []
-        seen = set()
-        for ng in nogoods:
-            if not isinstance(ng, Nogood):
-                ng = Nogood(ng)
-            for v, a in ng.pairs:
-                if not 1 <= v <= n:
-                    raise ValueError(f"variable {v} out of range 1..{n}")
-                if not 0 <= a < d:
-                    raise ValueError(f"value {a} out of range 0..{d - 1}")
-            if ng.pairs not in seen:
-                seen.add(ng.pairs)
-                canonical.append(ng)
-        self.nogoods: tuple[Nogood, ...] = tuple(canonical)
-        self.k_max = max((ng.arity for ng in self.nogoods), default=0)
+        unique = dict.fromkeys(_canonical(pairs, n, d) for pairs in nogoods)
+        self.nogoods: tuple[_NogoodRecord, ...] = tuple(map(_NogoodRecord, unique))
+        self.k_max = max(map(len, unique), default=0)
 
     def __eq__(self, other):
         return (
@@ -111,7 +113,7 @@ class CspInstance:
 
     @cached_property
     def arities(self) -> tuple[int, ...]:
-        return tuple(ng.arity for ng in self.nogoods)
+        return tuple(len(ng.pairs) for ng in self.nogoods)
 
     @cached_property
     def _masks(self) -> tuple[list[int], list[dict[int, int]], list[int]]:
@@ -295,18 +297,10 @@ def parse_instance(text) -> CspInstance:
             raise ParseError(
                 f"nogood declares arity {tokens[1]} but carries {len(ints) // 2} pairs", lineno
             )
-        pairs = []
-        seen_vars = set()
-        for v, a in zip(ints[0::2], ints[1::2]):
-            if not 1 <= v <= n:
-                raise ParseError(f"variable {v} out of range 1..{n}", lineno)
-            if not 0 <= a < d:
-                raise ParseError(f"value {a} out of range 0..{d - 1}", lineno)
-            if v in seen_vars:
-                raise ParseError(f"variable {v} repeated within nogood", lineno)
-            seen_vars.add(v)
-            pairs.append((v, a))
-        nogoods.append(Nogood(pairs))
+        try:
+            nogoods.append(_canonical(zip(ints[0::2], ints[1::2]), n, d))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     if n is None:
         raise ParseError("missing header line 'p csp <n> <d>'", 1)
     return CspInstance(n, d, nogoods)
@@ -317,7 +311,7 @@ def serialize_instance(instance: CspInstance) -> str:
     lines = [f"p csp {instance.n} {instance.d}"]
     for ng in instance.nogoods:
         flat = " ".join(f"{v} {a}" for v, a in ng.pairs)
-        lines.append(f"n {ng.arity} {flat}".rstrip())
+        lines.append(f"n {len(ng.pairs)} {flat}".rstrip())
     return "\n".join(lines) + "\n"
 
 

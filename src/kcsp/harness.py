@@ -11,6 +11,7 @@ usable data points).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
@@ -19,10 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CspInstance, Nogood, _LimitExceeded
+from .core import CspInstance, _LimitExceeded
 from .generators import gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
+    _exceeds,
     _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
@@ -59,9 +61,11 @@ class ExperimentResult:
         }
 
 
+@functools.cache
 def corpus() -> tuple:
     """Named instances with hand-checkable structure, reused across tests,
-    verification campaigns, and the command-line tools."""
+    verification campaigns, and the command-line tools.  Built once per
+    process: every call returns the same tuple of immutable entries."""
     entries = []
 
     def add(name, instance):
@@ -69,43 +73,26 @@ def corpus() -> tuple:
 
     add("empty-2-2", CspInstance(2, 2, []))
     add("empty-5-3", CspInstance(5, 3, []))
-    add("zero-arity", CspInstance(2, 2, [Nogood([])]))
-    add("pair-forcing", CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])]))
-    add("unary-chain", CspInstance(3, 2, [Nogood([(1, 0)]), Nogood([(2, 1)]), Nogood([(3, 0)])]))
-    add(
-        "k3-d2",
-        CspInstance(
-            4,
-            2,
-            [
-                Nogood([(1, 0), (2, 0), (3, 0)]),
-                Nogood([(1, 1), (2, 1), (4, 1)]),
-                Nogood([(2, 0), (3, 1), (4, 0)]),
-                Nogood([(1, 0), (3, 1), (4, 1)]),
-                Nogood([(2, 1), (3, 0), (4, 0)]),
-            ],
-        ),
-    )
-    add(
-        "k3-d3",
-        CspInstance(
-            4,
-            3,
-            [
-                Nogood([(1, 0), (2, 0), (3, 0)]),
-                Nogood([(1, 1), (2, 2), (4, 0)]),
-                Nogood([(2, 1), (3, 2), (4, 2)]),
-                Nogood([(1, 2), (3, 1), (4, 1)]),
-            ],
-        ),
-    )
-    # 4 pigeons, 3 holes: vars are pigeons, values holes, no shared hole
-    pigeon = [
-        Nogood([(i, a), (j, a)])
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-        for a in range(3)
+    add("zero-arity", CspInstance(2, 2, [[]]))
+    add("pair-forcing", CspInstance(2, 2, [[(1, 0)], [(1, 1), (2, 0)]]))
+    add("unary-chain", CspInstance(3, 2, [[(1, 0)], [(2, 1)], [(3, 0)]]))
+    k3_d2 = [
+        [(1, 0), (2, 0), (3, 0)],
+        [(1, 1), (2, 1), (4, 1)],
+        [(2, 0), (3, 1), (4, 0)],
+        [(1, 0), (3, 1), (4, 1)],
+        [(2, 1), (3, 0), (4, 0)],
     ]
+    add("k3-d2", CspInstance(4, 2, k3_d2))
+    k3_d3 = [
+        [(1, 0), (2, 0), (3, 0)],
+        [(1, 1), (2, 2), (4, 0)],
+        [(2, 1), (3, 2), (4, 2)],
+        [(1, 2), (3, 1), (4, 1)],
+    ]
+    add("k3-d3", CspInstance(4, 3, k3_d3))
+    # 4 pigeons, 3 holes: vars are pigeons, values holes, no shared hole
+    pigeon = [[(i, a), (j, a)] for i in range(1, 5) for j in range(i + 1, 5) for a in range(3)]
     add("pigeon-4-3", CspInstance(4, 3, pigeon))
     add("all-pairs-3-2", gen_uniform(3, 2, 2, 12, seed=7))
     add("triangle-3col", gen_coloring([(1, 2), (2, 3), (1, 3)], 3, 3))
@@ -148,8 +135,7 @@ def estimate_iteration_success(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    satisfiable = None
-    if instance.d**instance.n <= cap:
+    if not _exceeds(instance.d, instance.n, cap):
         satisfiable = bool(_solution_mask(instance, cap).any())
     elif assume_satisfiable:
         satisfiable = True

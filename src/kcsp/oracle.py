@@ -142,6 +142,14 @@ def _decode(codes: np.ndarray, n: int, d: int) -> tuple:
     return tuple(points)
 
 
+def _exceeds(d: int, n: int, cap: int) -> bool:
+    """Whether d^n > cap, exactly, without computing a huge d^n: for d >= 2
+    and n >= cap.bit_length(), d^n >= 2^n > cap."""
+    if d >= 2 and n >= cap.bit_length():
+        return True
+    return d**n > cap
+
+
 def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
     """ok[c] is true iff the point with mixed-radix code c (variable 1 most
     significant, so numeric order is lexicographic order) is a solution.
@@ -151,15 +159,14 @@ def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
     ValueError) before anything is allocated.
     """
     n, d = instance.n, instance.d
-    total = d**n
-    if total > cap:
+    if _exceeds(d, n, cap):
         raise _LimitExceeded(f"search space d^n = {d}^{n} exceeds cap {cap}")
-    if total > _MAX_POINTS:
+    if _exceeds(d, n, _MAX_POINTS):
         raise _LimitExceeded(
             f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
         )
     # each nogood clears the block of points it matches in one strided write
-    ok = np.ones(total, dtype=bool)
+    ok = np.ones(d**n, dtype=bool)
     for ng in instance.nogoods:
         shape, index = _matching_block(ng.pairs, n, d)
         ok.reshape(shape)[index] = False
@@ -233,7 +240,7 @@ def avg_narrow_count(instance: CspInstance, X) -> NarrowCountResult:
     for ng in instance.nogoods:
         off = [v for v, a in ng.pairs if X[v - 1] != a]
         if len(off) == 1:
-            others.setdefault(off[0], []).append(set(ng.variables) - set(off))
+            others.setdefault(off[0], []).append({v for v, _ in ng.pairs if v != off[0]})
     shared = {y: sorted(set().union(*sets)) for y, sets in others.items()}
     for y, U in shared.items():
         if len(U) > _MAX_SHARED:

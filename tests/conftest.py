@@ -1,6 +1,6 @@
 import random
 
-from kcsp import CspInstance, Nogood, gen_uniform
+from kcsp import CspInstance, gen_uniform
 
 
 def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspInstance:
@@ -12,7 +12,7 @@ def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspIn
     for _ in range(m):
         arity = rng.randint(1, min(3, n))
         variables = rng.sample(range(1, n + 1), arity)
-        nogoods.append(Nogood([(v, rng.randrange(d)) for v in variables]))
+        nogoods.append([(v, rng.randrange(d)) for v in variables])
     return CspInstance(n, d, nogoods)
 
 

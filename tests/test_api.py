@@ -13,7 +13,6 @@ PUBLIC = [
     "CspInstance",
     "DpllStats",
     "ExperimentResult",
-    "Nogood",
     "ParseError",
     "PpszStats",
     "RootResult",
@@ -66,16 +65,32 @@ def test_every_name_imports():
         assert namespace[name] is getattr(kcsp, name)
 
 
+def load_bench_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"kcsp_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve():
     # bench/tracing.py wraps these names by (module, attribute) and patches
     # CspInstance.by_var's cached_property; a rename would silently untrace them
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("kcsp_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_module("tracing")
     for module_name, attr, _, _ in tracing.TARGETS:
         assert module_name.startswith("kcsp.")
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             module_name, attr
         )
     assert isinstance(vars(kcsp.CspInstance)["by_var"], functools.cached_property)
+
+
+def test_bench_reads_canonical_pairs():
+    # bench/checks.py reads every instance through plain(), which takes
+    # ng.pairs of each item of instance.nogoods
+    plain = load_bench_module("checks").plain
+    instance = dict(kcsp.corpus())["k3-d3"]
+    assert plain(instance) == (4, 3, tuple(ng.pairs for ng in instance.nogoods))
+    assert plain(instance).nogoods[1] == ((1, 1), (2, 2), (4, 0))
+    unsorted = kcsp.CspInstance(3, 2, [[(3, 1), (1, 0)], [(2, 1)], [(1, 0), (3, 1)], []])
+    assert plain(unsorted).nogoods == (((1, 0), (3, 1)), ((2, 1),), ())

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import kcsp.cli
-from kcsp import CspInstance, Nogood, parse_instance, save_instance
+from kcsp import CspInstance, parse_instance, save_instance
 from kcsp.cli import _parse_range, build_parser, cli_dispatch
 from kcsp.version import __version__
 
@@ -40,7 +41,7 @@ def triangle_path(tmp_path):
 def unsat_path(tmp_path):
     path = tmp_path / "unsat.csp"
     save_instance(
-        CspInstance(1, 2, [Nogood([(1, 0)]), Nogood([(1, 1)])]), path
+        CspInstance(1, 2, [[(1, 0)], [(1, 1)]]), path
     )
     return str(path)
 
@@ -504,6 +505,27 @@ class TestErrors:
         flag = argv[-2]
         assert_flag_refused(code, out, err, flag)
         assert err.splitlines()[-1].endswith(f"argument {flag}: {expected}")
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            (["oracle"], "search space d^n = 1000000000^1048576 exceeds cap 16777216"),
+            (
+                ["bench", "prob", "--instance"],
+                "d^n = 1000000000^1048576 exceeds the oracle cap 16777216, "
+                "so satisfiability cannot be checked",
+            ),
+        ],
+        ids=["oracle", "bench-prob"],
+    )
+    def test_huge_search_space_refused_at_once(self, capsys, tmp_path, command, message):
+        # d^n would take some 31 million bits: the cap check never computes it
+        path = tmp_path / "huge.csp"
+        path.write_text("p csp 1048576 1000000000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "command", [["solve", "--alg", "dpll"], ["solve", "--alg", "ppsz"], ["oracle"]],

@@ -1,10 +1,11 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from kcsp import (
     CspInstance,
-    Nogood,
     ParseError,
     is_satisfying,
     load_instance,
@@ -42,37 +43,56 @@ def defined_levels(instance, assigned: dict) -> list[int]:
     return levels
 
 
-class TestNogood:
-    def test_pairs_sorted_by_variable(self):
-        ng = Nogood([(3, 1), (1, 0), (2, 2)])
-        assert ng.pairs == ((1, 0), (2, 2), (3, 1))
-        assert ng.variables == (1, 2, 3)
-        assert ng.arity == 3
-
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
-            Nogood([(1, 0), (1, 1)])
-
-    def test_empty_nogood(self):
-        assert Nogood([]).arity == 0
+def pair_lists(instance) -> list:
+    return [ng.pairs for ng in instance.nogoods]
 
 
 class TestCspInstance:
+    def test_pairs_sorted_by_variable(self):
+        inst = CspInstance(3, 3, [[(3, 1), (1, 0), (2, 2)]])
+        assert pair_lists(inst) == [((1, 0), (2, 2), (3, 1))]
+        assert inst.arities == (3,)
+
+    def test_duplicate_variable_rejected(self):
+        with pytest.raises(ValueError, match="variable 1 repeated within nogood"):
+            CspInstance(2, 2, [[(1, 0), (1, 1)]])
+
+    def test_empty_nogood(self):
+        inst = CspInstance(2, 2, [[]])
+        assert pair_lists(inst) == [()]
+        assert (inst.arities, inst.k_max) == ((0,), 0)
+
+    def test_numpy_entries_become_python_ints(self):
+        # the pairs feed big-int masks and JSON payloads: no numpy scalar may survive
+        rows = np.array([[3, 1, 1, 0], [2, 1, 3, 1]], dtype=np.int64)
+        inst = CspInstance(3, 2, [[(row[0], row[1]), (row[2], row[3])] for row in rows])
+        assert pair_lists(inst) == [((1, 0), (3, 1)), ((2, 1), (3, 1))]
+        assert {type(x) for ng in inst.nogoods for pair in ng.pairs for x in pair} == {int}
+
+    def test_first_fault_in_given_order_is_reported(self):
+        # each pair is checked for variable range, value range, then a repeat
+        for pairs, message in [
+            ([(9, 0), (1, 7)], "variable 9 out of range 1..2"),
+            ([(1, 7), (9, 0)], "value 7 out of range 0..1"),
+            ([(2, 0), (2, 1), (9, 0)], "variable 2 repeated within nogood"),
+            ([(1, 0), (1, 5)], "value 5 out of range 0..1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CspInstance(2, 2, [[(1, 0)], pairs])
+
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             CspInstance(0, 2)
         with pytest.raises(ValueError):
             CspInstance(2, 0)
         with pytest.raises(ValueError, match="out of range"):
-            CspInstance(2, 2, [Nogood([(3, 0)])])
+            CspInstance(2, 2, [[(3, 0)]])
         with pytest.raises(ValueError, match="out of range"):
-            CspInstance(2, 2, [Nogood([(1, 2)])])
+            CspInstance(2, 2, [[(1, 2)]])
 
     def test_deduplication_keeps_first_occurrence_order(self):
-        inst = CspInstance(
-            3, 2, [Nogood([(2, 1)]), Nogood([(1, 0)]), Nogood([(2, 1)])]
-        )
-        assert inst.nogoods == (Nogood([(2, 1)]), Nogood([(1, 0)]))
+        inst = CspInstance(3, 2, [[(2, 1)], [(1, 0)], [(2, 1)]])
+        assert pair_lists(inst) == [((2, 1),), ((1, 0),)]
 
     def test_pair_order_irrelevant_for_dedup(self):
         inst = CspInstance(2, 2, [[(1, 0), (2, 1)], [(2, 1), (1, 0)]])
@@ -93,7 +113,7 @@ class TestCspInstance:
 
     def test_kernel_tables_name_only_occurring_values(self):
         # a huge domain costs nothing: only the (v, a) pairs that occur get a mask
-        inst = CspInstance(2, 10**9, [Nogood([(1, 999_999_999), (2, 7)])])
+        inst = CspInstance(2, 10**9, [[(1, 999_999_999), (2, 7)]])
         touch, match, levels = inst._masks
         assert touch == [0, 1, 1]
         assert match[1] == {999_999_999: 1} and match[2] == {7: 1}
@@ -103,8 +123,8 @@ class TestCspInstance:
         assert state.forbidden(2) == {7}
 
     def test_equality_and_hash(self):
-        a = CspInstance(2, 2, [Nogood([(1, 0)])])
-        b = CspInstance(2, 2, [[(1, 0)]])
+        a = CspInstance(2, 2, [[(1, 0)]])
+        b = CspInstance(2, 2, [((1, 0),), [(1, 0)]])
         assert a == b and hash(a) == hash(b)
         assert a != CspInstance(2, 2)
 
@@ -112,26 +132,26 @@ class TestCspInstance:
 class TestNogoodStatus:
     # one nogood, ((1, 0), (2, 1)), read off the kernel as killed, matched or live
     def test_active_with_unassigned_subset(self):
-        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
         assert (state.levels, state.matched) == ([0, 0, 1], False)
         state.assign(1, 0)
         assert (state.levels, state.matched) == ([0, 1, 0], False)
         assert state.forbidden(2) == {1}
 
     def test_killed_on_disagreement(self):
-        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
         state.assign(1, 1)
         assert (state.levels, state.matched) == ([0, 0, 0], False)
         assert state.forbidden(2) == set()
 
     def test_matched_when_all_agree(self):
-        state = NogoodState(CspInstance(2, 2, [Nogood([(1, 0), (2, 1)])]))
+        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
         state.assign(1, 0)
         state.assign(2, 1)
         assert (state.levels, state.matched) == ([1, 0, 0], True)
 
     def test_arity_zero_always_matched(self):
-        state = NogoodState(CspInstance(2, 2, [Nogood([]), Nogood([(1, 0)])]))
+        state = NogoodState(CspInstance(2, 2, [[], [(1, 0)]]))
         assert (state.levels, state.matched) == ([0b01, 0b10], True)
         state.assign(1, 0)
         assert state.levels == [0b11, 0]
@@ -143,7 +163,7 @@ class TestNogoodStatus:
         assert (state.levels, state.matched) == ([0b01, 0b10], True)
 
     def test_invariant_under_assignment_insertion_order(self):
-        inst = CspInstance(3, 2, [Nogood([(1, 0), (3, 1)])])
+        inst = CspInstance(3, 2, [[(1, 0), (3, 1)]])
         first = NogoodState(inst)
         first.assign(1, 0)
         first.assign(3, 1)
@@ -221,9 +241,7 @@ class TestNogoodState:
         inst = gen_uniform(12, 10, 2, 5000, seed=4107)
         touch, match, levels = inst._masks
         for v in range(1, inst.n + 1):
-            named = [
-                (j, dict(ng.pairs)[v]) for j, ng in enumerate(inst.nogoods) if v in ng.variables
-            ]
+            named = [(j, a) for j, ng in enumerate(inst.nogoods) for u, a in ng.pairs if u == v]
             assert touch[v] == sum(1 << j for j, _ in named)
             assert match[v] == {a: sum(1 << j for j, b in named if b == a) for _, a in named}
         assert levels == defined_levels(inst, {})
@@ -236,7 +254,7 @@ class TestNogoodState:
             assert state.levels == defined_levels(inst, assigned)
 
     def test_out_of_order_unassign_raises(self):
-        inst = CspInstance(3, 2, [Nogood([(1, 0), (2, 1)]), Nogood([(2, 0), (3, 0)])])
+        inst = CspInstance(3, 2, [[(1, 0), (2, 1)], [(2, 0), (3, 0)]])
         state = NogoodState(inst)
         with pytest.raises(RuntimeError, match="out of order"):
             state.unassign(1)
@@ -291,13 +309,13 @@ class TestNarrowedDomain:
         assert narrowed(inst, NogoodState(inst), 1) == {0, 1, 2}
 
     def test_unary_nogood_forbids_unconditionally(self):
-        inst = CspInstance(2, 2, [Nogood([(1, 0)])])
+        inst = CspInstance(2, 2, [[(1, 0)]])
         assert narrowed(inst, NogoodState(inst), 1) == {1}
 
     def test_arity_zero_empties_every_domain(self):
         # an arity-0 nogood names no variable: the kernel reports it as
         # matched from the start, which empties every domain
-        inst = CspInstance(2, 3, [Nogood([])])
+        inst = CspInstance(2, 3, [[]])
         state = NogoodState(inst)
         assert state.levels == [1, 0] and state.matched
         assert state.forbidden(1) == state.forbidden(2) == set()
@@ -342,7 +360,7 @@ class TestPartialAssignment:
     # a partial assignment lives in NogoodState.values; it is read as a
     # total assignment only once every variable is set
     def test_as_tuple_requires_total(self):
-        inst = CspInstance(2, 2, [Nogood([(1, 0), (2, 0)])])
+        inst = CspInstance(2, 2, [[(1, 0), (2, 0)]])
         state = NogoodState(inst)
         with pytest.raises(ValueError, match="total"):
             is_satisfying(inst, state.values[1:])
@@ -362,11 +380,11 @@ class TestParsing:
         text = "# comment\np csp 3 2\nn 2 1 0 3 1\nn 1 2 1\n"
         inst = parse_instance(text)
         assert (inst.n, inst.d) == (3, 2)
-        assert inst.nogoods == (Nogood([(1, 0), (3, 1)]), Nogood([(2, 1)]))
+        assert pair_lists(inst) == [((1, 0), (3, 1)), ((2, 1),)]
 
     def test_blank_lines_and_bytes_ok(self):
         inst = parse_instance(b"\np csp 2 2\n\nn 0\n")
-        assert inst.nogoods == (Nogood([]),)
+        assert pair_lists(inst) == [()]
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -385,6 +403,20 @@ class TestParsing:
     )
     def test_rejects_malformed(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
+            parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p csp 2 2\nn 2 9 0 1 7\n", "line 2: variable 9 out of range 1..2"),
+            ("p csp 2 2\nn 2 1 7 9 0\n", "line 2: value 7 out of range 0..1"),
+            ("p csp 2 2\nn 1 9 7\n", "line 2: variable 9 out of range 1..2"),
+            ("p csp 2 2\nn 3 2 0 2 1 9 0\n", "line 2: variable 2 repeated within nogood"),
+            ("p csp 2 2\nn 1 1 0\nn 1 1 5\nx 1\n", "line 3: value 5 out of range 0..1"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_instance(text)
 
     def test_error_carries_line_number(self):

@@ -9,7 +9,6 @@ import pytest
 
 from kcsp import (
     CspInstance,
-    Nogood,
     gen_nqueens,
     is_satisfying,
     solve_dpll,
@@ -35,7 +34,7 @@ def recurrence_bound(n: int, d: int, k: int) -> int:
 def pigeonhole(pigeons: int, holes: int) -> CspInstance:
     """PHP(p, h): pigeon i sits in hole x_i, and no two pigeons share a hole."""
     nogoods = [
-        Nogood([(i, a), (j, a)])
+        [(i, a), (j, a)]
         for i in range(1, pigeons + 1)
         for j in range(i + 1, pigeons + 1)
         for a in range(holes)
@@ -55,10 +54,10 @@ def fuzz_instances(count: int = 300) -> list[CspInstance]:
         else:
             inst = random_instance(rng, max_n=6, max_d=4)
         if i % 10 == 3:
-            unary_domain = [Nogood([(v, 0) for v, _ in ng.pairs]) for ng in inst.nogoods[:2]]
+            unary_domain = [[(v, 0) for v, _ in ng.pairs] for ng in inst.nogoods[:2]]
             inst = CspInstance(inst.n, 1, unary_domain)
         elif i % 10 == 7:
-            inst = CspInstance(inst.n, inst.d, [*inst.nogoods, Nogood([])])
+            inst = CspInstance(inst.n, inst.d, [*(ng.pairs for ng in inst.nogoods), []])
         instances.append(inst)
     return instances
 
@@ -81,7 +80,7 @@ class TestVerdicts:
         assert stats.nodes == 1 and stats.max_depth == 0
 
     def test_arity_zero_one_node(self):
-        stats = solve_dpll(CspInstance(2, 2, [Nogood([])]))
+        stats = solve_dpll(CspInstance(2, 2, [[]]))
         assert stats.status == "UNSAT" and stats.nodes == 1
 
     def test_matches_reference_on_corpus(self):

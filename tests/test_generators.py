@@ -23,7 +23,7 @@ class TestGenUniform:
         assert len(inst.nogoods) == 10
         assert len(set(ng.pairs for ng in inst.nogoods)) == 10
         for ng in inst.nogoods:
-            assert ng.arity == 2
+            assert len(ng.pairs) == 2
             assert all(1 <= v <= 6 and 0 <= a < 3 for v, a in ng.pairs)
         assert gen_uniform(6, 3, 2, 10, seed=42) == inst
         assert gen_uniform(6, 3, 2, 10, seed=43) != inst

@@ -6,7 +6,6 @@ import pytest
 
 from kcsp import (
     CspInstance,
-    Nogood,
     corpus,
     enumerate_solutions,
     estimate_iteration_success,
@@ -18,6 +17,9 @@ from bruteforce import brute_solutions
 
 
 class TestCorpus:
+    def test_built_once(self):
+        assert corpus() is corpus()
+
     def test_names_unique_and_instances_valid(self):
         entries = corpus()
         names = [name for name, _ in entries]
@@ -59,7 +61,7 @@ class TestEstimateIterationSuccess:
         assert result.stats["successes"] == 2000
 
     def test_forced_unary_instance(self):
-        inst = CspInstance(1, 2, [Nogood([(1, 0)])])
+        inst = CspInstance(1, 2, [[(1, 0)]])
         result = estimate_iteration_success(inst, trials=500, seed=6)
         assert result.stats["p_hat"] == 1.0
         assert result.stats["bound"] == pytest.approx(0.5, rel=1e-12)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 
 from kcsp import (
     CspInstance,
-    Nogood,
     avg_narrow_count,
     enumerate_solutions,
     isolation_degrees,
@@ -27,7 +27,7 @@ def triangle(d=3):
 
 
 def pair_forcing():
-    return CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
+    return CspInstance(2, 2, [[(1, 0)], [(1, 1), (2, 0)]])
 
 
 def assert_matches_reference(inst):
@@ -55,11 +55,11 @@ class TestEnumerateSolutions:
         assert sols.isolation == (0, 0, 0, 0)
 
     def test_lexicographic_order(self):
-        sols = enumerate_solutions(CspInstance(3, 2, [Nogood([(1, 0)])]))
+        sols = enumerate_solutions(CspInstance(3, 2, [[(1, 0)]]))
         assert sols.solutions == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
     def test_arity_zero_kills_everything(self):
-        for nogoods in ([Nogood([])], [Nogood([(2, 1)]), Nogood([])]):
+        for nogoods in ([[]], [[(2, 1)], []]):
             inst = CspInstance(3, 2, nogoods)
             assert len(enumerate_solutions(inst)) == 0
             assert_matches_reference(inst)
@@ -99,7 +99,7 @@ class TestEnumerateSolutions:
 
     def test_decode_crosses_row_blocks(self):
         # 104,976 solutions: one full block of 2^16 rows and a partial one
-        inst = CspInstance(11, 3, [Nogood([(1, 0), (5, 2)]), Nogood([(11, 1)])])
+        inst = CspInstance(11, 3, [[(1, 0), (5, 2)], [(11, 1)]])
         sols = enumerate_solutions(inst)
         expected = brute_solutions(inst)
         assert len(expected) == 104_976
@@ -114,7 +114,7 @@ class TestEnumerateSolutions:
         assert sols.critical_dims == ((),) and sols.isolation == (0,)
         # the second nogood fixes every other variable: 140 mask axes if
         # axes of length 1 were kept
-        for nogood in (Nogood([(64, 0), (65, 0)]), Nogood([(v, 0) for v in range(1, 141, 2)])):
+        for nogood in ([(64, 0), (65, 0)], [(v, 0) for v in range(1, 141, 2)]):
             assert_matches_reference(CspInstance(140, 1, [nogood]))
 
 
@@ -123,7 +123,24 @@ def with_solutions(points, n, d):
     n variables for every other point of D^n."""
     keep = set(points)
     others = [X for X in itertools.product(range(d), repeat=n) if X not in keep]
-    return CspInstance(n, d, [Nogood(list(enumerate(X, start=1))) for X in others])
+    return CspInstance(n, d, [list(enumerate(X, start=1)) for X in others])
+
+
+class TestSearchSpaceCap:
+    @pytest.mark.parametrize("d,n", [(2, 24), (4, 12), (3, 15), (10**9, 2), (2, 200)])
+    def test_exact_at_the_cap(self, d, n):
+        assert not oracle._exceeds(d, n, d**n)
+        assert oracle._exceeds(d, n, d**n - 1)  # d^n = cap + 1
+
+    def test_domain_of_size_one(self):
+        assert not oracle._exceeds(1, 1 << 20, 1)
+        assert oracle._solution_mask(CspInstance(1 << 20, 1), cap=1).tolist() == [True]
+
+    def test_huge_power_not_computed(self):
+        # 10^9^(2^20) has some 31 million bits; the comparison returns at once
+        start = time.perf_counter()
+        assert oracle._exceeds(10**9, 1 << 20, oracle.DEFAULT_CAP)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCriticalPoints:
@@ -141,7 +158,7 @@ class TestCriticalPoints:
         assert isolation_degrees(sols.solutions, 2, 2) == [0] * 4
 
     def test_two_point_example(self):
-        sols = enumerate_solutions(CspInstance(2, 2, [Nogood([(1, 1)])]))
+        sols = enumerate_solutions(CspInstance(2, 2, [[(1, 1)]]))
         assert sols.solutions == ((0, 0), (0, 1)) and sols.critical_dims == ((1,), (1,))
         assert isolation_degrees(sols.solutions, 2, 2) == [1, 1]
         assert isolation_degrees(iter(sols.solutions), 2, 2) == [1, 1]

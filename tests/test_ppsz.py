@@ -15,7 +15,6 @@ import kcsp.ppsz as ppsz
 
 from kcsp import (
     CspInstance,
-    Nogood,
     bound_variable_domain_ppsz,
     estimate_iteration_success,
     is_satisfying,
@@ -39,7 +38,7 @@ from conftest import random_instance
 
 
 def pair_forcing():
-    return CspInstance(2, 2, [Nogood([(1, 0)]), Nogood([(1, 1), (2, 0)])])
+    return CspInstance(2, 2, [[(1, 0)], [(1, 1), (2, 0)]])
 
 
 def run_iteration(instance, seed, index=1):
@@ -49,7 +48,7 @@ def run_iteration(instance, seed, index=1):
 
 class TestRunIteration:
     def test_forced_singleton(self):
-        inst = CspInstance(1, 2, [Nogood([(1, 0)])])
+        inst = CspInstance(1, 2, [[(1, 0)]])
         for seed in range(20):
             assert run_iteration(inst, seed) == ((1,), 1)
 
@@ -63,7 +62,7 @@ class TestRunIteration:
         words = []
         splitmix64 = ppsz._splitmix64
         monkeypatch.setattr(ppsz, "_splitmix64", lambda x: words.append(x) or splitmix64(x))
-        nogood_lists = [[Nogood([])], [Nogood([(1, 0)]), Nogood([])]]
+        nogood_lists = [[[]], [[(1, 0)], []]]
         for inst in (CspInstance(3, 2, nogoods) for nogoods in nogood_lists):
             assert _iterate(inst, NogoodState(inst), 0) == (None, 1)
             assert words == []
@@ -73,7 +72,7 @@ class TestRunIteration:
 
     def test_huge_domain_is_never_listed(self):
         # a narrowed variable picks its value without a list of all d values
-        inst = CspInstance(2, 10**9, [Nogood([(1, 5)]), Nogood([(1, 0), (2, 7)])])
+        inst = CspInstance(2, 10**9, [[(1, 5)], [(1, 0), (2, 7)]])
         tracemalloc.start()
         try:
             stats = solve_ppsz(inst, max_repeats=20, seed=3)
@@ -137,10 +136,10 @@ def replay_instances():
     instances = [inst for _, inst in corpus()]
     instances += [random_instance(rng) for _ in range(200)]
     instances += [
-        CspInstance(3, 2, [Nogood([(1, 0)]), Nogood([])]),
+        CspInstance(3, 2, [[(1, 0)], []]),
         CspInstance(4, 1),
-        CspInstance(3, 1, [Nogood([(2, 0), (3, 0)])]),
-        CspInstance(2, 2, [Nogood([(1, a), (2, b)]) for a in range(2) for b in range(2)]),
+        CspInstance(3, 1, [[(2, 0), (3, 0)]]),
+        CspInstance(2, 2, [[(1, a), (2, b)] for a in range(2) for b in range(2)]),
     ]
     return instances
 
@@ -356,7 +355,7 @@ class TestSolvePpsz:
             solve_ppsz(inst, max_repeats=0, seed=0)
 
     def test_forced_instance_first_iteration(self):
-        stats = solve_ppsz(CspInstance(1, 2, [Nogood([(1, 0)])]), seed=5)
+        stats = solve_ppsz(CspInstance(1, 2, [[(1, 0)]]), seed=5)
         assert stats.status == "SAT"
         assert stats.assignment == (1,)
         assert stats.iterations_used == 1
