@@ -3,9 +3,9 @@
 Exit codes: 0 for success (SAT, or a passing verdict), 1 for UNSAT /
 FAILURE / failing verdicts, 2 for usage problems, 3 for runtime limits.
 Only cli_dispatch maps an error to a code, printing one `error:` line: a
-runtime limit (the enumeration cap, the nogood limit, search depth,
-overflow, a failed certification: _LimitExceeded, ArithmeticError,
-RecursionError) exits 3, and every other ValueError (a bad flag value, a
+runtime limit (the enumeration cap, the nogood limit, a DPLL path's
+undo bytes, overflow, a failed certification: _LimitExceeded,
+ArithmeticError) exits 3, and every other ValueError (a bad flag value, a
 malformed or non-UTF-8 file) or OSError exits 2.
 
 JSON payloads use a fixed key order and omit absent fields; elapsed_ms
@@ -298,7 +298,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return globals()[args.handler](args)
-    except (_LimitExceeded, ArithmeticError, RecursionError) as exc:
+    except (_LimitExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -26,8 +26,8 @@ class ParseError(ValueError):
 
 class _LimitExceeded(ValueError):
     """A runtime limit was reached (enumeration cap or point limit, variable
-    or nogood limit, search depth): the input is well formed but too large
-    to handle."""
+    or nogood limit, the bytes a DPLL search path would hold): the input is
+    well formed but too large to handle."""
 
 
 # Largest variable count: per-variable tables stay small, whatever the header says.
@@ -190,10 +190,11 @@ class NogoodState:
     `assign(v, a)` moves the live nogoods naming (v, a) down one level and
     drops those naming v with another value, from two masks cached on the
     instance (`CspInstance._masks`): k_max + 1 big-int operations of m bits
-    each, however many nogoods name v.  It pushes the old levels and
-    `unassign` pops them, so assignments are undone last in, first out;
-    unassigning any variable but the latest raises RuntimeError.  The
-    pushed levels take up to n * (k_max + 1) * m / 8 bytes at full depth.
+    each, however many nogoods name v.  It replaces the levels list and
+    never changes one in place, so a caller that keeps `levels` before
+    assigning some variables can undo them all with
+    `restore(levels, variables)`, in any order.  The state keeps no undo
+    trail: a caller that backtracks keeps the lists it goes back to.
     `select` and `forbidden` read the levels without changing them.
     Single-owner and mutable.
     """
@@ -202,13 +203,11 @@ class NogoodState:
         self._touch, self._match, self._initial = instance._masks
         self.values: list[int | None] = [None] * (instance.n + 1)
         self.levels = self._initial
-        self._trail: list[tuple[int, list[int]]] = []
 
     def reset(self) -> None:
         """Back to the empty assignment."""
         self.values[:] = [None] * len(self.values)
         self.levels = self._initial
-        self._trail.clear()
 
     @property
     def matched(self) -> bool:
@@ -217,7 +216,6 @@ class NogoodState:
 
     def assign(self, var: int, value: int) -> None:
         old = self.levels
-        self._trail.append((var, old))
         self.values[var] = value
         touch = self._touch[var]
         if touch:
@@ -231,13 +229,13 @@ class NogoodState:
             new.append(low ^ (low & touch))
             self.levels = new
 
-    def unassign(self, var: int) -> None:
-        """Undo the latest `assign`, which must have set var."""
-        if not self._trail or self._trail[-1][0] != var:
-            latest = self._trail[-1][0] if self._trail else None
-            raise RuntimeError(f"unassign({var}) out of order: the latest assign set {latest}")
-        self.levels = self._trail.pop()[1]
-        self.values[var] = None
+    def restore(self, levels: list[int], variables) -> None:
+        """Put back `levels`, read before `variables` were assigned, and
+        set those variables' values back to None."""
+        self.levels = levels
+        values = self.values
+        for var in variables:
+            values[var] = None
 
     def select(self) -> int:
         """Index of the live nogood with fewest unassigned pairs, at least

@@ -11,17 +11,25 @@ yields at most t*(d-1) child branches per node.
 
 A child whose value `NogoodState.forbidden(u)` names would complete a live
 nogood and fail at once, so it is counted as a visited node (at depth + 1)
-without being assigned and unwound.  The tree and every node count are
-those of the plain assign-recurse-unassign loop.  The search undoes its
-assignments in the reverse order of making them, as the kernel requires.
+without being assigned.  The tree and every node count are those of the
+plain loop that assigns, searches and undoes every child, blocked ones
+included.
+
+The search keeps an explicit stack, one `_children` generator per open
+node, and never recurses, so its depth does not depend on the caller's
+stack.  Each open node keeps the levels lists it goes back to, so a path
+of depth D holds about D * (k_max + 1) * m / 8 bytes of them; a search
+whose path would pass _MAX_PATH_BYTES is refused with _LimitExceeded.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .core import CspInstance, NogoodState, _LimitExceeded, is_satisfying
+
+# Largest undo state a search path may hold, as depth x levels x (m // 8 + 1) bytes.
+_MAX_PATH_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -34,71 +42,77 @@ class DpllStats:
     max_depth: int
 
 
-class _Search:
-    def __init__(self, instance: CspInstance):
-        self.instance = instance
-        self.state = NogoodState(instance)
-        self.pair_lists = [ng.pairs for ng in instance.nogoods]
-        self.nodes = 0
-        self.max_depth = 0
+def _children(state: NogoodState, pairs: tuple, d: int):
+    """Walk the children of one node that branches on the unassigned pairs
+    of the nogood `pairs`.
 
-    def run(self, depth: int):
-        self.nodes += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
-        state = self.state
-        if state.matched:
-            return None
-        chosen = state.select()
-        values = state.values
-        if chosen < 0:
-            # every nogood killed: any completion satisfies; take zeros
-            completion = tuple(v if v is not None else 0 for v in values[1:])
-            if not is_satisfying(self.instance, completion):
-                raise RuntimeError(f"DPLL completion {completion} matches a nogood")
-            return completion
-        pairs = [(v, a) for v, a in self.pair_lists[chosen] if values[v] is None]
-        d = self.instance.d
-        assign, unassign = state.assign, state.unassign
-        for u, a in pairs:
-            blocked = state.forbidden(u)
-            for value in range(d):
-                if value == a:
-                    continue
-                if value in blocked:
-                    # the child matches a nogood: count it, skip its search
-                    self.nodes += 1
-                    if depth >= self.max_depth:
-                        self.max_depth = depth + 1
-                    continue
-                assign(u, value)
-                result = self.run(depth + 1)
-                if result is not None:
-                    return result
-                unassign(u)
-            assign(u, a)
-        for u, _ in reversed(pairs):
-            unassign(u)
-        return None
+    Yields True once a child is assigned, to be searched before the walk
+    resumes, and False for a child that `forbidden(u)` fails at once; after
+    a searched child it restores the levels read before that child and
+    moves on.  Once exhausted, it has undone its pins as well.  A pair whose
+    variable is assigned when the walk reaches it is skipped; every child
+    has undone its own assignments by then, so that reads the node's own.
+    """
+    entry, values = state.levels, state.values
+    assign, restore = state.assign, state.restore
+    pinned = []
+    for u, a in pairs:
+        if values[u] is not None:
+            continue
+        blocked = state.forbidden(u)
+        levels = state.levels
+        for value in range(d):
+            if value == a:
+                continue
+            if value in blocked:
+                yield False
+                continue
+            assign(u, value)
+            yield True
+            restore(levels, (u,))
+        assign(u, a)
+        pinned.append(u)
+    restore(entry, pinned)
 
 
 def solve_dpll(instance: CspInstance) -> DpllStats:
     """Complete and sound: SAT with a satisfying assignment iff one exists.
 
-    The search recurses once per branching level, so it can go n levels
-    deep.  A search that reaches the interpreter's recursion limit
-    (sys.getrecursionlimit(), 1,000 frames by default, the caller's frames
-    included) is refused with _LimitExceeded (a ValueError).
+    A search whose path would hold more than _MAX_PATH_BYTES of levels
+    lists (depth x len(levels) x (m // 8 + 1) bytes, 1 GiB) is refused with
+    _LimitExceeded (a ValueError); the rule reads only the instance and the
+    depth.
     """
-    search = _Search(instance)
-    try:
-        assignment = search.run(0)
-    except RecursionError:
-        raise _LimitExceeded(
-            f"DPLL search depth exceeds the recursion limit of {sys.getrecursionlimit()} "
-            f"frames (n = {instance.n})"
-        ) from None
-    if assignment is None:
-        return DpllStats("UNSAT", None, search.nodes, search.max_depth)
-    return DpllStats("SAT", assignment, search.nodes, search.max_depth)
-
+    state = NogoodState(instance)
+    pair_lists = [ng.pairs for ng in instance.nogoods]
+    values, d = state.values, instance.d
+    m = len(pair_lists)
+    max_open = _MAX_PATH_BYTES // (len(state.levels) * (m // 8 + 1))
+    stack: list = []
+    nodes, max_depth = 1, 0
+    searched = True  # the root
+    while True:
+        if searched and not state.matched:
+            chosen = state.select()
+            if chosen < 0:
+                # every nogood killed: any completion satisfies; take zeros
+                completion = tuple(v if v is not None else 0 for v in values[1:])
+                if not is_satisfying(instance, completion):
+                    raise RuntimeError(f"DPLL completion {completion} matches a nogood")
+                return DpllStats("SAT", completion, nodes, max_depth)
+            if len(stack) > max_open:
+                raise _LimitExceeded(
+                    f"DPLL search depth {len(stack)} would hold more than {_MAX_PATH_BYTES} "
+                    f"bytes of undo levels (n = {instance.n}, m = {m})"
+                )
+            stack.append(_children(state, pair_lists[chosen], d))
+        while stack:
+            searched = next(stack[-1], None)
+            if searched is not None:
+                break
+            stack.pop()
+        else:
+            return DpllStats("UNSAT", None, nodes, max_depth)
+        nodes += 1
+        if len(stack) > max_depth:
+            max_depth = len(stack)

@@ -76,31 +76,6 @@ def isolation_degrees(points, n: int, d: int) -> list[int]:
     return [degree_of[X] for X in rows]
 
 
-def _matching_block(pairs, n: int, d: int) -> tuple[list[int], tuple]:
-    """A shape for the flat point mask and a basic index into it that selects
-    exactly the points matching `pairs`.
-
-    Each fixed variable gets an axis and each run of free ones shares one,
-    so no shape has more axes than n, which the point limit keeps at 28 or
-    less when d >= 2; axes of length 1 (d = 1) are dropped, since their
-    only index is 0.
-    """
-    shape, index = [], []
-    covered = 0
-    for v, a in pairs:
-        if v > covered + 1:
-            shape.append(d ** (v - 1 - covered))
-            index.append(slice(None))
-        shape.append(d)
-        index.append(a)
-        covered = v
-    if n > covered:
-        shape.append(d ** (n - covered))
-        index.append(slice(None))
-    kept = [axis for axis, size in enumerate(shape) if size > 1]
-    return [shape[axis] for axis in kept], tuple(index[axis] for axis in kept)
-
-
 def _critical_dims_of_mask(ok: np.ndarray, codes: np.ndarray, n: int, d: int) -> tuple:
     """The critical dimensions of each point in `codes`, read off the mask.
 
@@ -165,11 +140,18 @@ def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
         raise _LimitExceeded(
             f"search space d^n = {d}^{n} exceeds the enumeration limit of {_MAX_POINTS} points"
         )
-    # each nogood clears the block of points it matches in one strided write
+    if d == 1:
+        # the one point matches every nogood
+        return np.array([not instance.nogoods])
     ok = np.ones(d**n, dtype=bool)
+    # one axis per variable (the point limit keeps n <= 28 here), so each
+    # nogood clears the block of points it matches in one strided write
+    grid = ok.reshape((d,) * n)
     for ng in instance.nogoods:
-        shape, index = _matching_block(ng.pairs, n, d)
-        ok.reshape(shape)[index] = False
+        index = [slice(None)] * n
+        for v, a in ng.pairs:
+            index[v - 1] = a
+        grid[tuple(index)] = False
     return ok
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import kcsp.cli
+import kcsp.dpll
 from kcsp import CspInstance, parse_instance, save_instance
 from kcsp.cli import _parse_range, build_parser, cli_dispatch
 from kcsp.version import __version__
@@ -191,10 +192,26 @@ class TestSolve:
         return str(path)
 
     def test_dpll_depth_past_the_recursion_limit(self, capsys, tmp_path):
-        code, out, err = run(capsys, "solve", "--alg", "dpll", self._unary_chain(tmp_path, 3000))
-        assert (code, out) == (3, "")
-        assert err.startswith("error: DPLL search depth exceeds the recursion limit"), err
-        assert err.endswith(" frames (n = 3000)\n") and err.count("\n") == 1, err
+        # 3,000 levels, past the interpreter's 1,000 frames: the search keeps
+        # its own stack
+        code, out, _ = run(capsys, "solve", "--alg", "dpll", self._unary_chain(tmp_path, 3000))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["assignment"] == [1] * 3000 and payload["nodes"] == 3001
+
+    def test_dpll_path_limit_refused(self, capsys, monkeypatch, tmp_path):
+        # 3,000 nogoods in two levels: 752 bytes per open node, so depth 14
+        # is the first past 10,000 bytes
+        monkeypatch.setattr(kcsp.dpll, "_MAX_PATH_BYTES", 10_000)
+        path = self._unary_chain(tmp_path, 3000)
+        first = run(capsys, "solve", "--alg", "dpll", path)
+        assert first == (
+            3,
+            "",
+            "error: DPLL search depth 14 would hold more than 10000 bytes of undo levels "
+            "(n = 3000, m = 3000)\n",
+        )
+        assert run(capsys, "solve", "--alg", "dpll", path) == first
 
     def test_dpll_deep_chain_within_the_limit(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve", "--alg", "dpll", self._unary_chain(tmp_path, 500))

@@ -153,10 +153,11 @@ class TestNogoodStatus:
     def test_arity_zero_always_matched(self):
         state = NogoodState(CspInstance(2, 2, [[], [(1, 0)]]))
         assert (state.levels, state.matched) == ([0b01, 0b10], True)
+        before = state.levels
         state.assign(1, 0)
         assert state.levels == [0b11, 0]
-        state.unassign(1)
-        assert state.levels == [0b01, 0b10]
+        state.restore(before, [1])
+        assert state.levels == [0b01, 0b10] and state.values == [None, None, None]
         state.assign(1, 1)
         assert state.levels == [0b01, 0]
         state.reset()
@@ -175,21 +176,28 @@ class TestNogoodStatus:
 
 class TestNogoodState:
     def test_counts_match_reference_along_random_walks(self):
-        # a walk that assigns variables in any order and unassigns the
-        # latest one, checking every level against its definition
+        # a walk that assigns variables in any order and restores the
+        # levels read before one of its assignments, undoing that one and
+        # every later one, checking every level against its definition
         rng = random.Random(4104)
         for _ in range(200):
             inst = random_instance(rng)
             state = NogoodState(inst)
             assigned = {}
+            saved = []  # the levels read before each assignment, in order
             for _ in range(3 * inst.n):
                 if assigned and (len(assigned) == inst.n or rng.random() < 0.3):
-                    y = list(assigned)[-1]
-                    state.unassign(y)
-                    del assigned[y]
+                    back = rng.randrange(len(saved))
+                    undone = list(assigned)[back:]
+                    rng.shuffle(undone)
+                    state.restore(saved[back], undone)
+                    for y in undone:
+                        del assigned[y]
+                    del saved[back:]
                 else:
                     y = rng.choice([v for v in range(1, inst.n + 1) if v not in assigned])
                     assigned[y] = rng.randrange(inst.d)
+                    saved.append(state.levels)
                     state.assign(y, assigned[y])
                 point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
                 assert state.values == [None, *point]
@@ -218,9 +226,10 @@ class TestNogoodState:
             rng.shuffle(order)
             for y in order:
                 before = snapshot(state)
+                levels = state.levels
                 for value in range(inst.d):
                     state.assign(y, value)
-                    state.unassign(y)
+                    state.restore(levels, [y])
                     assert snapshot(state) == before
                 state.assign(y, rng.randrange(inst.d))
 
@@ -253,21 +262,21 @@ class TestNogoodState:
             state.assign(y, assigned[y])
             assert state.levels == defined_levels(inst, assigned)
 
-    def test_out_of_order_unassign_raises(self):
-        inst = CspInstance(3, 2, [[(1, 0), (2, 1)], [(2, 0), (3, 0)]])
-        state = NogoodState(inst)
-        with pytest.raises(RuntimeError, match="out of order"):
-            state.unassign(1)
-        state.assign(1, 0)
-        state.assign(2, 1)
-        before = snapshot(state)
-        for var in (1, 3):
-            with pytest.raises(RuntimeError, match="out of order"):
-                state.unassign(var)
-            assert snapshot(state) == before
-        state.unassign(2)
-        state.unassign(1)
-        assert snapshot(state) == ([None] * 4, defined_levels(inst, {}))
+    def test_assign_leaves_the_lists_it_replaced_unchanged(self):
+        # what makes a kept levels list a valid undo point
+        rng = random.Random(4109)
+        for _ in range(200):
+            inst = random_instance(rng)
+            state = NogoodState(inst)
+            kept = []
+            assigned = {}
+            for y in rng.sample(range(1, inst.n + 1), inst.n):
+                levels = state.levels
+                kept.append((levels, list(levels), defined_levels(inst, assigned)))
+                assigned[y] = rng.randrange(inst.d)
+                state.assign(y, assigned[y])
+            for levels, ints, defined in kept:
+                assert levels == ints == defined
 
 
 class TestIsSatisfying:
@@ -367,10 +376,11 @@ class TestPartialAssignment:
         state.assign(1, 0)
         with pytest.raises(ValueError, match="total"):
             is_satisfying(inst, state.values[1:])
+        levels = state.levels
         state.assign(2, 1)
         assert tuple(state.values[1:]) == (0, 1)
         assert is_satisfying(inst, state.values[1:])
-        state.unassign(2)
+        state.restore(levels, [2])
         state.assign(2, 0)
         assert not is_satisfying(inst, state.values[1:])
 

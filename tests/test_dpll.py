@@ -102,6 +102,18 @@ class TestVerdicts:
             if stats.status == "SAT":
                 assert tuple(stats.assignment) in set(solutions)
 
+    def test_depth_does_not_depend_on_the_caller_stack(self):
+        # 700 levels under 300 frames of the caller's: more than the
+        # interpreter's default 1,000 frames together
+        inst = CspInstance(700, 2, [[(v, 0)] for v in range(1, 701)])
+
+        def nested(frames):
+            return nested(frames - 1) if frames else solve_dpll(inst)
+
+        stats = nested(300)
+        assert (stats.status, stats.assignment) == ("SAT", (1,) * 700)
+        assert (stats.nodes, stats.max_depth) == (701, 700)
+
     def test_safety_check_survives_optimize_flag(self):
         # python -O strips assert statements; with the check patched to
         # reject every assignment, the solver must refuse, not answer SAT

@@ -135,6 +135,9 @@ class TestSearchSpaceCap:
     def test_domain_of_size_one(self):
         assert not oracle._exceeds(1, 1 << 20, 1)
         assert oracle._solution_mask(CspInstance(1 << 20, 1), cap=1).tolist() == [True]
+        # the one point matches every nogood, here on more variables than numpy has axes
+        one_nogood = CspInstance(1 << 20, 1, [[(7, 0), (1 << 19, 0)]])
+        assert oracle._solution_mask(one_nogood, cap=1).tolist() == [False]
 
     def test_huge_power_not_computed(self):
         # 10^9^(2^20) has some 31 million bits; the comparison returns at once

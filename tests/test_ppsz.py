@@ -83,6 +83,21 @@ class TestRunIteration:
         assert sum(stats.narrow_histogram.values()) == stats.iterations_used
         assert peak < 1 << 20
 
+    def test_memory_bounded_on_a_long_chain(self):
+        # nogood (v: 0) for every v: one iteration makes 20,000 assignments,
+        # and keeps no levels list past the next one
+        n = 20_000
+        inst = CspInstance(n, 2, [[(v, 0)] for v in range(1, n + 1)])
+        inst._masks  # cached on the instance, outside the trace
+        tracemalloc.start()
+        try:
+            stats = solve_ppsz(inst, max_repeats=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stats.status, stats.assignment) == ("SAT", (1,) * n)
+        assert peak < 8 * 2**20, peak
+
     def test_completed_iterations_always_satisfy(self):
         # narrowing removes exactly the values that would finish a nogood,
         # so a pass that never aborts cannot have matched anything
