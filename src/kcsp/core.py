@@ -12,7 +12,8 @@ the parser alike, so both refuse the same faults with the same messages.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 
@@ -123,17 +124,20 @@ class CspInstance:
         naming (v, a); and the initial levels, level c holding the nogoods
         of arity c (c = 0..max(k_max, 1)).
 
-        Only values that occur get a mask, so no table is n x d.  A mask
-        takes about (its highest nogood index) / 8 bytes: all of them
-        together 10.5 MB on gen_nqueens(40) and 24 MB on gen_latin(16),
-        against 30 MB and 25 MB for the instance and `by_var`.
+        Only values that occur get a mask, so no table is n x d, and a
+        variable named with one value shares that value's mask as its own.
+        A mask takes about (its highest nogood index) / 8 bytes: all of
+        them together 10.6 MiB on gen_nqueens(40), 23.5 MiB on
+        gen_latin(16) and 9.0 MiB on a 10,000-variable unary chain
+        (tracemalloc, `by_var` built first), against 30 MB and 25 MB for
+        the first two instances and their `by_var`.
         """
         touch = [0] * (self.n + 1)
         match: list[dict[int, int]] = [{}] * (self.n + 1)  # read-only where empty
         for v, entries in enumerate(self.by_var):
             if entries:
                 match[v] = masks = _masks_by_key(entries, entries[-1][0])
-                touch[v] = sum(masks.values())  # the masks are disjoint: their sum is their OR
+                touch[v] = reduce(or_, masks.values())  # one value: that mask itself
         by_arity = _masks_by_key(enumerate(self.arities), len(self.nogoods) - 1)
         return touch, match, [by_arity.get(c, 0) for c in range(max(self.k_max, 1) + 1)]
 
@@ -193,10 +197,11 @@ class NogoodState:
     each, however many nogoods name v.  It replaces the levels list and
     never changes one in place, so a caller that keeps `levels` before
     assigning some variables can undo them all with
-    `restore(levels, variables)`, in any order.  The state keeps no undo
-    trail: a caller that backtracks keeps the lists it goes back to.
-    `select` and `forbidden` read the levels without changing them.
-    Single-owner and mutable.
+    `restore(levels, variables)`, in any order (setting `levels` back and
+    those `values` to None by hand does the same).  The state keeps no
+    undo trail: a caller that backtracks keeps the lists it goes back to.
+    `select`, `completing` and `forbidden` read the levels without
+    changing them.  Single-owner and mutable.
     """
 
     def __init__(self, instance: CspInstance):
@@ -245,13 +250,20 @@ class NogoodState:
                 return (level & -level).bit_length() - 1
         return -1
 
+    def completing(self, y: int) -> tuple[int, dict[int, int]]:
+        """Which values of the unassigned variable y would complete a match,
+        as (live, masks): value a would iff `live & masks.get(a, 0)` is
+        nonzero.  `live` is the bitset of the live nogoods whose only
+        unassigned pair names y; `masks` must not be changed."""
+        return self.levels[1] & self._touch[y], self._match[y]
+
     def forbidden(self, y: int) -> set[int]:
         """Values a of the live nogoods whose only unassigned pair is (y, a):
         the values that would complete a match."""
-        live = self.levels[1] & self._touch[y]
+        live, masks = self.completing(y)
         if not live:
             return set()
-        return {a for a, mask in self._match[y].items() if live & mask}
+        return {a for a, mask in masks.items() if live & mask}
 
 
 def parse_instance(text) -> CspInstance:

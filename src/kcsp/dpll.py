@@ -9,9 +9,12 @@ the nogood's own values), then pins u_i := a_i and moves to position i+1.
 Once every pair is pinned the nogood is matched, so the node fails.  This
 yields at most t*(d-1) child branches per node.
 
-A child whose value `NogoodState.forbidden(u)` names would complete a live
-nogood and fail at once, so it is counted as a visited node (at depth + 1)
-without being assigned.  The tree and every node count are those of the
+A child whose value would complete a live nogood is blocked: it fails at
+once, so it is counted as a visited node (at depth + 1) without being
+assigned.  The walk finds them from `NogoodState.completing(u)`, read once
+per pair, and hands a run of them to `solve_dpll` as one count.  The last
+pin, which would match the chosen nogood, is not made, so no node the
+search enters is matched.  The tree and every node count are those of the
 plain loop that assigns, searches and undoes every child, blocked ones
 included.
 
@@ -46,33 +49,45 @@ def _children(state: NogoodState, pairs: tuple, d: int):
     """Walk the children of one node that branches on the unassigned pairs
     of the nogood `pairs`.
 
-    Yields True once a child is assigned, to be searched before the walk
-    resumes, and False for a child that `forbidden(u)` fails at once; after
-    a searched child it restores the levels read before that child and
-    moves on.  Once exhausted, it has undone its pins as well.  A pair whose
-    variable is assigned when the walk reaches it is skipped; every child
-    has undone its own assignments by then, so that reads the node's own.
+    Yields r >= 0 once r blocked children have passed and the next child
+    is assigned, to be searched before the walk resumes, and -r for r
+    blocked children at the end of the walk.  After a searched child it
+    puts back the levels list read before it and unassigns it; once
+    exhausted, it has undone its pins as well.  A pair whose variable is
+    assigned when the walk reaches it is skipped; every child has undone
+    its own assignments by then, so that reads the node's own.
     """
     entry, values = state.levels, state.values
-    assign, restore = state.assign, state.restore
+    assign, completing = state.assign, state.completing
     pinned = []
+    run = 0
     for u, a in pairs:
         if values[u] is not None:
             continue
-        blocked = state.forbidden(u)
         levels = state.levels
+        live, masks = completing(u)
+        get = masks.get
         for value in range(d):
             if value == a:
                 continue
-            if value in blocked:
-                yield False
+            if live & get(value, 0):
+                run += 1
                 continue
             assign(u, value)
-            yield True
-            restore(levels, (u,))
+            yield run
+            run = 0
+            state.levels = levels
+            values[u] = None
+        if live & get(a, 0):
+            # pinning u := a would complete a match, which only the last
+            # pin does (an earlier one would need a live nogood with fewer
+            # unassigned pairs than the chosen one): the walk is over
+            break
         assign(u, a)
         pinned.append(u)
-    restore(entry, pinned)
+    if run:
+        yield -run
+    state.restore(entry, pinned)
 
 
 def solve_dpll(instance: CspInstance) -> DpllStats:
@@ -89,30 +104,33 @@ def solve_dpll(instance: CspInstance) -> DpllStats:
     m = len(pair_lists)
     max_open = _MAX_PATH_BYTES // (len(state.levels) * (m // 8 + 1))
     stack: list = []
-    nodes, max_depth = 1, 0
-    searched = True  # the root
+    nodes, max_depth = 1, 0  # the root
+    if state.matched:  # an arity-0 nogood
+        return DpllStats("UNSAT", None, nodes, max_depth)
     while True:
-        if searched and not state.matched:
-            chosen = state.select()
-            if chosen < 0:
-                # every nogood killed: any completion satisfies; take zeros
-                completion = tuple(v if v is not None else 0 for v in values[1:])
-                if not is_satisfying(instance, completion):
-                    raise RuntimeError(f"DPLL completion {completion} matches a nogood")
-                return DpllStats("SAT", completion, nodes, max_depth)
-            if len(stack) > max_open:
-                raise _LimitExceeded(
-                    f"DPLL search depth {len(stack)} would hold more than {_MAX_PATH_BYTES} "
-                    f"bytes of undo levels (n = {instance.n}, m = {m})"
-                )
-            stack.append(_children(state, pair_lists[chosen], d))
+        chosen = state.select()
+        if chosen < 0:
+            # every nogood killed: any completion satisfies; take zeros
+            completion = tuple(v if v is not None else 0 for v in values[1:])
+            if not is_satisfying(instance, completion):
+                raise RuntimeError(f"DPLL completion {completion} matches a nogood")
+            return DpllStats("SAT", completion, nodes, max_depth)
+        if len(stack) > max_open:
+            raise _LimitExceeded(
+                f"DPLL search depth {len(stack)} would hold more than {_MAX_PATH_BYTES} "
+                f"bytes of undo levels (n = {instance.n}, m = {m})"
+            )
+        stack.append(_children(state, pair_lists[chosen], d))
         while stack:
-            searched = next(stack[-1], None)
-            if searched is not None:
+            run = next(stack[-1], None)
+            if run is None:
+                stack.pop()
+                continue
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            if run >= 0:
+                nodes += run + 1
                 break
-            stack.pop()
+            nodes -= run
         else:
             return DpllStats("UNSAT", None, nodes, max_depth)
-        nodes += 1
-        if len(stack) > max_depth:
-            max_depth = len(stack)

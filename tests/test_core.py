@@ -122,6 +122,13 @@ class TestCspInstance:
         state.assign(1, 999_999_999)
         assert state.forbidden(2) == {7}
 
+    def test_variable_named_with_one_value_shares_its_mask(self):
+        # a unary chain's `touch` masks are its `match` masks, not copies
+        # (past bit 256 no cached small int can hide a copy)
+        n = 400
+        touch, match, _ = CspInstance(n, 2, [[(v, 1)] for v in range(1, n + 1)])._masks
+        assert all(touch[v] is match[v][1] for v in range(1, n + 1))
+
     def test_equality_and_hash(self):
         a = CspInstance(2, 2, [[(1, 0)]])
         b = CspInstance(2, 2, [((1, 0),), [(1, 0)]])
@@ -174,48 +181,67 @@ class TestNogoodStatus:
         assert snapshot(first) == snapshot(second)
 
 
+def random_walks(seed: int):
+    """200 random instances, each with a walk that assigns variables in any
+    order and restores the levels read before one of its assignments,
+    undoing that one and every later one; yields (instance, state,
+    assigned) after every step."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        inst = random_instance(rng)
+        state = NogoodState(inst)
+        assigned = {}
+        saved = []  # the levels read before each assignment, in order
+        for _ in range(3 * inst.n):
+            if assigned and (len(assigned) == inst.n or rng.random() < 0.3):
+                back = rng.randrange(len(saved))
+                undone = list(assigned)[back:]
+                rng.shuffle(undone)
+                state.restore(saved[back], undone)
+                for y in undone:
+                    del assigned[y]
+                del saved[back:]
+            else:
+                y = rng.choice([v for v in range(1, inst.n + 1) if v not in assigned])
+                assigned[y] = rng.randrange(inst.d)
+                saved.append(state.levels)
+                state.assign(y, assigned[y])
+            yield inst, state, assigned
+
+
 class TestNogoodState:
     def test_counts_match_reference_along_random_walks(self):
-        # a walk that assigns variables in any order and restores the
-        # levels read before one of its assignments, undoing that one and
-        # every later one, checking every level against its definition
-        rng = random.Random(4104)
-        for _ in range(200):
-            inst = random_instance(rng)
-            state = NogoodState(inst)
-            assigned = {}
-            saved = []  # the levels read before each assignment, in order
-            for _ in range(3 * inst.n):
-                if assigned and (len(assigned) == inst.n or rng.random() < 0.3):
-                    back = rng.randrange(len(saved))
-                    undone = list(assigned)[back:]
-                    rng.shuffle(undone)
-                    state.restore(saved[back], undone)
-                    for y in undone:
-                        del assigned[y]
-                    del saved[back:]
-                else:
-                    y = rng.choice([v for v in range(1, inst.n + 1) if v not in assigned])
-                    assigned[y] = rng.randrange(inst.d)
-                    saved.append(state.levels)
-                    state.assign(y, assigned[y])
-                point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
-                assert state.values == [None, *point]
-                assert state.levels == defined_levels(inst, assigned)
-                matched = sum(matches(ng.pairs, point) for ng in inst.nogoods)
-                assert state.matched == (matched > 0)
-                # select: fewest unassigned pairs among the live nogoods, then lowest index
-                open_nogoods = [
-                    (sum(v not in assigned for v, _ in ng.pairs), j)
-                    for j, ng in enumerate(inst.nogoods)
-                    if all(assigned.get(v, a) == a for v, a in ng.pairs)
-                    and any(v not in assigned for v, _ in ng.pairs)
-                ]
-                assert state.select() == min(open_nogoods, default=(0, -1))[1]
-                for y in range(1, inst.n + 1):
-                    if y not in assigned:
-                        expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
-                        assert state.forbidden(y) == expected
+        # every level checked against its definition after every step
+        for inst, state, assigned in random_walks(4104):
+            point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
+            assert state.values == [None, *point]
+            assert state.levels == defined_levels(inst, assigned)
+            matched = sum(matches(ng.pairs, point) for ng in inst.nogoods)
+            assert state.matched == (matched > 0)
+            # select: fewest unassigned pairs among the live nogoods, then lowest index
+            open_nogoods = [
+                (sum(v not in assigned for v, _ in ng.pairs), j)
+                for j, ng in enumerate(inst.nogoods)
+                if all(assigned.get(v, a) == a for v, a in ng.pairs)
+                and any(v not in assigned for v, _ in ng.pairs)
+            ]
+            assert state.select() == min(open_nogoods, default=(0, -1))[1]
+            for y in range(1, inst.n + 1):
+                if y not in assigned:
+                    expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
+                    assert state.forbidden(y) == expected
+
+    def test_completing_names_the_forbidden_values_along_random_walks(self):
+        for inst, state, assigned in random_walks(4110):
+            for y in range(1, inst.n + 1):
+                if y in assigned:
+                    continue
+                live, masks = state.completing(y)
+                forbidden = state.forbidden(y)
+                narrowed = brute_narrowed_domain(inst, assigned, y)
+                for value in range(inst.d):
+                    completes = bool(live & masks.get(value, 0))
+                    assert completes == (value in forbidden) == (value not in narrowed)
 
     def test_assign_unassign_round_trip(self):
         rng = random.Random(4105)

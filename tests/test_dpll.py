@@ -215,6 +215,28 @@ class TestBlockedChildren:
             checked += 1
         assert checked == len(corpus()) + 300 + 4 + 7
 
+    def test_depth_read_off_blocked_children_alone(self):
+        # for v < n, x_v branches over 1 and 2, both searched; at depth
+        # n - 1 the two children of x_n are blocked by the unary nogoods
+        # (n, 1) and (n, 2), so only blocked children reach depth n
+        for n in range(1, 8):
+            inst = CspInstance(n, 3, [*([(v, 0)] for v in range(1, n)), *([(n, a)] for a in range(3))])
+            stats = solve_dpll(inst)
+            got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            assert got == reference_dpll(inst) == ("UNSAT", None, 2 ** (n + 1) - 1, n), n
+
+    def test_last_walk_ends_on_blocked_children(self):
+        # the root branches on (1, 0): x1 := 1 is searched, and its walk
+        # ends on the d - 1 blocked children of x2; then x1 := 2..d-1,
+        # blocked by the unary nogoods (1, a), end the root's walk, the
+        # last one of the search
+        for d in range(3, 7):
+            unary = [[(1, 0)], *([(1, a)] for a in range(2, d))]
+            inst = CspInstance(2, d, [*unary, *([(1, 1), (2, a)] for a in range(d))])
+            stats = solve_dpll(inst)
+            got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            assert got == reference_dpll(inst) == ("UNSAT", None, 2 * d - 1, 2), d
+
     def test_blocked_children_are_not_assigned(self, monkeypatch):
         calls = 0
         assign = NogoodState.assign
