@@ -10,7 +10,11 @@ malformed or non-UTF-8 file) or OSError exits 2.
 
 JSON payloads use a fixed key order and omit absent fields; elapsed_ms
 appears on stdout only, never in --out/--stats files, so rerunning a
-command with the same seed reproduces those files byte for byte.
+command with the same seed reproduces those files byte for byte.  A
+payload is written as a `{` line, one line per top-level key,
+`  "key": value` with the value in compact one-line JSON (`, ` and `: `
+separators, non-ASCII escaped) and a comma on every line but the last,
+then a `}` line.  Every file ends in one newline, on every platform.
 """
 
 from __future__ import annotations
@@ -90,7 +94,13 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
+    """One line per top-level key, each value in one line of compact JSON.
+
+    No `indent`, so every value goes through json's C encoder (an indent
+    sends it to the pure-Python one).
+    """
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in payload.items()]
+    _write_text("{\n" + ",\n".join(lines) + "\n}\n", path)
 
 
 def _report(result, path: str | None) -> int:
@@ -105,7 +115,7 @@ def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
@@ -167,9 +177,9 @@ def _cmd_oracle(args) -> int:
         "subcommand": "oracle",
         "result": "SAT" if len(solutions) > 0 else "UNSAT",
         "solution_count": len(solutions),
-        "solutions": [list(point) for point in solutions.solutions],
-        "isolation": list(solutions.isolation),
-        "critical_dims": [sorted(dims) for dims in solutions.critical_dims],
+        "solutions": solutions.solutions,
+        "isolation": solutions.isolation,
+        "critical_dims": solutions.critical_dims,
     }
     _dump_json(payload, args.out)
     return 0 if len(solutions) > 0 else 1

@@ -13,6 +13,7 @@ the parser alike, so both refuse the same faults with the same messages.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 from typing import NamedTuple
 
@@ -317,12 +318,17 @@ def parse_instance(text) -> CspInstance:
 
 
 def serialize_instance(instance: CspInstance) -> str:
-    """Canonical text form; parse(serialize(I)) == I."""
-    lines = [f"p csp {instance.n} {instance.d}"]
-    for ng in instance.nogoods:
-        flat = " ".join(f"{v} {a}" for v, a in ng.pairs)
-        lines.append(f"n {len(ng.pairs)} {flat}".rstrip())
-    return "\n".join(lines) + "\n"
+    """Canonical text form; parse(serialize(I)) == I.
+
+    Each arity k has one line format, `n k` and then k `%d %d` pairs.  The
+    nogoods' formats, in order, make one template that is applied once to
+    all their pairs flattened, so C code writes every number.
+    """
+    nogoods = [ng.pairs for ng in instance.nogoods]
+    formats = {k: f"\nn {k}" + " %d %d" * k for k in set(map(len, nogoods))}
+    template = "".join([formats[len(pairs)] for pairs in nogoods])
+    flat = tuple(chain.from_iterable(chain.from_iterable(nogoods)))
+    return f"p csp {instance.n} {instance.d}{template % flat}\n"
 
 
 def load_instance(path) -> CspInstance:

@@ -26,9 +26,9 @@ _MAX_SHARED = 20  # avg_narrow_count's largest u
 class SolutionSet:
     """All solutions of an instance, with per-solution isolation data.
 
-    `critical_dims[i]` holds the dimensions (1-indexed) in which flipping
-    `solutions[i]` to some other single value leaves the solution set;
-    `isolation[i]` is its size.
+    `critical_dims[i]` holds the dimensions (1-indexed, ascending) in which
+    flipping `solutions[i]` to some other single value leaves the solution
+    set; `isolation[i]` is its size.
     """
 
     n: int

@@ -66,6 +66,76 @@ class TestDispatch:
         assert args.n == (8, 9, 10, 11, 12)
 
 
+def json_payload(text):
+    """The payload of a JSON output, after checking its layout: a `{` line,
+    one line per top-level key, in the payload's key order, and a `}` line."""
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""], text
+    body = lines[1:-2]
+    assert all(line.startswith('  "') for line in body)
+    assert [line.endswith(",") for line in body] == [True] * (len(body) - 1) + [False]
+    entries = [json.loads("{" + line.removesuffix(",") + "}") for line in body]
+    payload = json.loads(text)
+    assert [key for entry in entries for key in entry] == list(payload)
+    return payload
+
+
+@pytest.fixture()
+def c_encoder_only(monkeypatch):
+    """Make json's pure-Python encoder raise, as an `indent` would call it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON write fell back to the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--alg", "ppsz", "--seed", "3", "--stats", "OUT", "TRIANGLE"],
+            ["solve", "--alg", "dpll", "--stats", "OUT", "TRIANGLE"],
+            ["oracle", "--out", "OUT", "TRIANGLE"],
+            ["verify", "lemma1", "--max-n", "4", "--out", "OUT"],
+            ["verify", "lemma2", "--subsets", "5", "--out", "OUT"],
+            ["bench", "prob", "--trials", "200", "--out", "OUT"],
+            ["bench", "growth", "--n", "8..10", "--per-n", "4", "--seed", "2", "--out", "OUT"],
+        ],
+        ids=["solve-ppsz", "solve-dpll", "oracle", "lemma1", "lemma2", "prob", "growth"],
+    )
+    def test_every_write_uses_the_c_encoder(self, capsys, tmp_path, triangle_path,
+                                            c_encoder_only, argv):
+        path = tmp_path / "out.json"
+        argv = [{"OUT": str(path), "TRIANGLE": triangle_path}.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        payload = json_payload(path.read_text())
+        if argv[0] == "solve":
+            assert json_payload(out) == {**payload, "elapsed_ms": json.loads(out)["elapsed_ms"]}
+        elif argv[0] != "oracle":
+            assert out == f"{payload['experiment']}: {payload['verdict']}\n"
+
+    def test_oracle_file_bytes_pinned(self, capsys, tmp_path):
+        instance_path = tmp_path / "one.csp"
+        instance_path.write_text("p csp 2 2\nn 1 1 0\nn 2 1 1 2 0\n")
+        path = tmp_path / "oracle.json"
+        assert run(capsys, "oracle", "--out", str(path), str(instance_path))[0] == 0
+        assert path.read_bytes() == (
+            "{\n"
+            f'  "tool_version": "{__version__}",\n'
+            '  "subcommand": "oracle",\n'
+            '  "result": "SAT",\n'
+            '  "solution_count": 1,\n'
+            '  "solutions": [[1, 1]],\n'
+            '  "isolation": [2],\n'
+            '  "critical_dims": [[1, 2]]\n'
+            "}\n"
+        ).encode()
+
+
 class TestGen:
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csp", tmp_path / "b.csp"]

@@ -14,7 +14,8 @@ from kcsp import (
     serialize_instance,
 )
 from kcsp.core import NogoodState, _LimitExceeded
-from kcsp.generators import gen_coloring, gen_uniform
+from kcsp.generators import gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
+from kcsp.harness import corpus
 
 from bruteforce import brute_narrowed_domain, brute_solutions, matches
 from conftest import random_instance
@@ -45,6 +46,16 @@ def defined_levels(instance, assigned: dict) -> list[int]:
 
 def pair_lists(instance) -> list:
     return [ng.pairs for ng in instance.nogoods]
+
+
+def joined_text(instance) -> str:
+    """The instance file written one joined string per nogood, as the
+    reference for serialize_instance's bytes."""
+    lines = [f"p csp {instance.n} {instance.d}"]
+    for ng in instance.nogoods:
+        flat = " ".join(f"{v} {a}" for v, a in ng.pairs)
+        lines.append(f"n {len(ng.pairs)} {flat}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 class TestCspInstance:
@@ -465,7 +476,29 @@ class TestParsing:
         rng = random.Random(4103)
         for _ in range(100):
             inst = random_instance(rng)
-            assert parse_instance(serialize_instance(inst)) == inst
+            text = serialize_instance(inst)
+            assert text == joined_text(inst)
+            assert parse_instance(text) == inst
+
+    @pytest.mark.parametrize(
+        "inst",
+        [inst for _, inst in corpus()]
+        + [
+            gen_uniform(6, 3, 2, 12, seed=1),
+            gen_uniform(7, 2, 3, 20, seed=2),
+            gen_model_rb(6, 0.8, 1.0, 0.3, 2, seed=3),
+            gen_model_rb(5, 0.8, 1.0, 0.3, 3, seed=4),
+            gen_coloring([(1, 2), (2, 3), (3, 4), (1, 4)], 4, 3),
+            gen_latin(3),
+            gen_nqueens(5),
+        ],
+        ids=[name for name, _ in corpus()]
+        + ["uniform-k2", "uniform-k3", "model-rb-k2", "model-rb-k3", "coloring", "latin", "nqueens"],
+    )
+    def test_serialize_bytes_match_joined_text(self, inst):
+        text = serialize_instance(inst)
+        assert text == joined_text(inst)
+        assert parse_instance(text) == inst
 
     def test_serialize_empty_instance(self):
         assert serialize_instance(CspInstance(3, 2)) == "p csp 3 2\n"
