@@ -30,7 +30,7 @@ from . import generators
 from .analysis import bound_table, bound_variable_domain_dpll
 from .core import _LimitExceeded, load_instance, serialize_instance
 from .harness import corpus, estimate_iteration_success, node_growth_experiment, verify_campaign
-from .oracle import DEFAULT_CAP, enumerate_solutions
+from .oracle import DEFAULT_CAP, _first_solution, enumerate_solutions
 from .dpll import solve_dpll
 from .ppsz import bound_variable_domain_ppsz, solve_ppsz
 from .version import __version__
@@ -156,9 +156,8 @@ def _cmd_solve(args) -> int:
                   "iterations_used": stats.iterations_used,
                   "narrow_histogram": {str(key): count for key, count in histogram}}
     else:
-        solutions = enumerate_solutions(instance).solutions
-        fields = {"result": "SAT" if solutions else "UNSAT",
-                  "assignment": solutions[0] if solutions else None}
+        assignment = _first_solution(instance)
+        fields = {"result": "UNSAT" if assignment is None else "SAT", "assignment": assignment}
     elapsed = time.perf_counter() - start
     payload = {"tool_version": __version__, "subcommand": "solve"}
     payload.update((key, value) for key, value in fields.items() if value is not None)

@@ -8,6 +8,8 @@ satisfies the instance iff no nogood is fully matched.
 `CspInstance(n, d, nogoods)` takes each nogood as a plain list of pairs;
 `_canonical` checks and sorts one nogood's pairs for the constructor and
 the parser alike, so both refuse the same faults with the same messages.
+The parser canonicalizes each line once and hands the constructor a
+`_CanonicalNogoods` list, whose pairs it does not check again.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(canonical)
 
 
+class _CanonicalNogoods(list):
+    """Nogoods that `_canonical` already made for the instance's n and d,
+    as the parser collects them: `CspInstance` only drops their repeats."""
+
+
 class CspInstance:
     """Immutable CSP instance: n variables over {0..d-1} plus a nogood list.
 
@@ -86,7 +93,9 @@ class CspInstance:
             raise _LimitExceeded(f"{n} variables exceed the limit of {_MAX_VARIABLES}")
         self.n = n
         self.d = d
-        unique = dict.fromkeys(_canonical(pairs, n, d) for pairs in nogoods)
+        if not isinstance(nogoods, _CanonicalNogoods):
+            nogoods = (_canonical(pairs, n, d) for pairs in nogoods)
+        unique = dict.fromkeys(nogoods)
         self.nogoods: tuple[_NogoodRecord, ...] = tuple(map(_NogoodRecord, unique))
         self.k_max = max(map(len, unique), default=0)
 
@@ -281,7 +290,7 @@ def parse_instance(text) -> CspInstance:
             line = text[: exc.start].count(b"\n") + 1
             raise ParseError(f"byte {text[exc.start]:#04x} is not UTF-8", line) from None
     n = d = None
-    nogoods = []
+    nogoods = _CanonicalNogoods()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

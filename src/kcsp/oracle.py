@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ DEFAULT_CAP = 1 << 24
 # enumerate_solutions refuses larger spaces whatever the cap: its mask
 # takes one byte per point.
 _MAX_POINTS = 1 << 28
-_DECODE_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 16  # rows per block of enumerate_solutions
 _MAX_SHARED = 20  # avg_narrow_count's largest u
 
 
@@ -76,47 +77,6 @@ def isolation_degrees(points, n: int, d: int) -> list[int]:
     return [degree_of[X] for X in rows]
 
 
-def _critical_dims_of_mask(ok: np.ndarray, codes: np.ndarray, n: int, d: int) -> tuple:
-    """The critical dimensions of each point in `codes`, read off the mask.
-
-    Bit i of a point's key marks dimension i+1: for X in the mask,
-    ok[X + (a - X_i) d^(n-1-i)] is false for some value a.  With d = 1 no
-    point has a neighbour; with d >= 2 the point limit keeps n <= 28, so
-    the bits fit in an int64.  Points with equal keys share one tuple.
-    """
-    keys = np.zeros(len(codes), dtype=np.int64)
-    if d > 1:
-        rest = codes
-        for i in range(n - 1, -1, -1):
-            rest, digit = np.divmod(rest, d)
-            power = d ** (n - 1 - i)
-            base = codes - digit * power
-            stays = ok[base]
-            for a in range(1, d):
-                stays &= ok[base + a * power]
-            keys[~stays] |= 1 << i
-    keys = keys.tolist()
-    shared = {key: tuple(i + 1 for i in range(n) if key >> i & 1) for key in set(keys)}
-    return tuple(map(shared.__getitem__, keys))
-
-
-def _decode(codes: np.ndarray, n: int, d: int) -> tuple:
-    """The points with the given codes, as tuples of ints.
-
-    Decoded a block of rows at a time, so that one block's digit lists,
-    not every row's, sit beside the tuples.
-    """
-    points = []
-    for lo in range(0, len(codes), _DECODE_ROWS):
-        rest = codes[lo : lo + _DECODE_ROWS]
-        columns = []
-        for _ in range(n):
-            rest, digit = np.divmod(rest, d)
-            columns.append(digit.tolist())
-        points += zip(*reversed(columns))
-    return tuple(points)
-
-
 def _exceeds(d: int, n: int, cap: int) -> bool:
     """Whether d^n > cap, exactly, without computing a huge d^n: for d >= 2
     and n >= cap.bit_length(), d^n >= 2^n > cap."""
@@ -155,25 +115,90 @@ def _solution_mask(instance: CspInstance, cap: int) -> np.ndarray:
     return ok
 
 
+def _decode_block(ok: np.ndarray, block: np.ndarray, n: int, d: int):
+    """The digit matrix, the critical keys and the isolation counts of a
+    block of solution codes.
+
+    Row r of the matrix holds the digits of block[r], variable 1 first
+    (uint8, or int64 when d > 256).  Per dimension one divmod peels off
+    the digit, which fills a column and also locates the point's
+    neighbours in the mask: bit i of a point's key (a list of ints) marks
+    dimension i+1 as critical, that is ok[X + (a - X_i) d^(n-1-i)] is false
+    for some value a, and count[r] counts those dimensions.  With
+    d = 1 the one point's digits are all 0 and it has no neighbours; with
+    d >= 2 the point limit keeps n <= 28, so the keys fit in an int64.
+    """
+    digits = np.zeros((len(block), n), dtype=np.uint8 if d <= 256 else np.int64)
+    keys = np.zeros(len(block), dtype=np.int64)
+    count = np.zeros(len(block), dtype=np.uint8)
+    if d > 1:
+        rest = block
+        for i in range(n - 1, -1, -1):
+            rest, digit = np.divmod(rest, d)
+            digits[:, i] = digit
+            power = d ** (n - 1 - i)
+            base = block - digit * power
+            stays = ok[base]
+            for a in range(1, d):
+                stays &= ok[base + a * power]
+            leaves = ~stays
+            np.bitwise_or(keys, 1 << i, out=keys, where=leaves)
+            count += leaves
+    return digits, keys.tolist(), count
+
+
 def enumerate_solutions(instance: CspInstance, cap: int = DEFAULT_CAP) -> SolutionSet:
     """Exhaustively list all satisfying total assignments, in lexicographic order.
 
-    Memory: a mask of one byte per point of D^n; per solution, an int64
-    code, an int64 key of its critical dimensions and a few int64
-    temporaries for one dimension at a time; then the returned tuples,
-    whose digits are decoded 2^16 rows at a time.  Nothing else grows with
-    d^n.  A space of more than `cap` points, or of more than 2^28 points (a
-    256 MiB mask) whatever the cap, is refused with ValueError before
-    anything is allocated; the CLI reports that with exit code 3.
+    One pass over the solution codes, 2^16 at a time (`_decode_block`):
+    the solution tuples are unpacked from each block's digit matrix by
+    `struct`, and points with equal critical keys share one tuple of
+    dimensions.
+
+    Memory: a mask of one byte per point of D^n; per solution an int64
+    code, a one-byte isolation count, a list slot and the returned tuples;
+    per solution of the current block, one uint8 digit row, not a list
+    (int64 when d > 256, and then n <= 3), an int64 key and a few int64
+    temporaries.  Nothing else grows with d^n.  A space of more than `cap`
+    points, or of more than 2^28 points (a 256 MiB mask) whatever the cap,
+    is refused with ValueError before anything is allocated; the CLI
+    reports that with exit code 3.
     """
     n, d = instance.n, instance.d
     ok = _solution_mask(instance, cap)
     codes = np.flatnonzero(ok)
+    shared: dict[int, tuple] = {}
+    solutions, critical_dims = [], []
+    isolation = np.zeros(len(codes), dtype=np.uint8)
+    for lo in range(0, len(codes), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        digits, keys, count = _decode_block(ok, codes[lo:hi], n, d)
+        isolation[lo:hi] = count
+        for key in set(keys).difference(shared):
+            shared[key] = tuple(i + 1 for i in range(key.bit_length()) if key >> i & 1)
+        critical_dims += map(shared.__getitem__, keys)
+        # numpy's type character is struct's native code for the same C type
+        solutions += struct.iter_unpack(f"{n}{digits.dtype.char}", digits)
+    # free the codes, then turn one list at a time into a tuple, so that no
+    # two lists of S pointers sit beside a tuple; iterating bytes gives ints
+    del codes
+    solutions = tuple(solutions)
+    critical_dims = tuple(critical_dims)
+    return SolutionSet(n, d, solutions, critical_dims, tuple(isolation.tobytes()))
 
-    critical_dims = _critical_dims_of_mask(ok, codes, n, d)
-    isolation = tuple(map(len, critical_dims))
-    solutions = _decode(codes, n, d)
-    return SolutionSet(n, d, solutions, critical_dims, isolation)
+
+def _first_solution(instance: CspInstance) -> tuple | None:
+    """`enumerate_solutions(instance).solutions[0]`, or None when there is
+    no solution, read off the mask without listing the others."""
+    ok = _solution_mask(instance, DEFAULT_CAP)
+    code = int(ok.argmax())  # the first true point, or 0 when none is
+    if not ok[code]:
+        return None
+    digits = []
+    for _ in range(instance.n):
+        code, digit = divmod(code, instance.d)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def verify_lemma2(points, n: int, d: int) -> tuple[bool, int]:

@@ -8,8 +8,9 @@ import pytest
 
 import kcsp.cli
 import kcsp.dpll
-from kcsp import CspInstance, parse_instance, save_instance
+from kcsp import CspInstance, enumerate_solutions, parse_instance, save_instance
 from kcsp.cli import _parse_range, build_parser, cli_dispatch
+from kcsp.harness import corpus
 from kcsp.version import __version__
 
 
@@ -304,6 +305,53 @@ class TestSolve:
             )
             assert code == 0
         assert files[0].read_bytes() == files[1].read_bytes()
+
+
+class TestSolveBrute:
+    """`solve --alg brute` reads its verdict and assignment off the mask."""
+
+    @pytest.fixture()
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve --alg brute listed every solution")
+
+        monkeypatch.setattr(kcsp.cli, "enumerate_solutions", refuse)
+
+    def test_first_solution_on_corpus(self, capsys, tmp_path, no_enumeration):
+        for name, inst in corpus():
+            path = tmp_path / f"{name}.csp"
+            save_instance(inst, path)
+            solutions = enumerate_solutions(inst).solutions
+            code, out, err = run(capsys, "solve", "--alg", "brute", str(path))
+            payload = json_payload(out)
+            assert (code, err) == ((0, "") if solutions else (1, "")), name
+            assert payload["result"] == ("SAT" if solutions else "UNSAT"), name
+            if solutions:
+                assert payload["assignment"] == list(solutions[0]), name
+            else:
+                assert "assignment" not in payload, name
+
+    def test_stats_file_bytes_pinned(self, capsys, tmp_path, triangle_path, no_enumeration):
+        path = tmp_path / "brute.json"
+        assert run(capsys, "solve", "--alg", "brute", "--stats", str(path), triangle_path)[0] == 0
+        assert path.read_text() == (
+            f'{{\n  "tool_version": "{__version__}",\n  "subcommand": "solve",\n'
+            '  "result": "SAT",\n  "assignment": [0, 1, 2]\n}\n'
+        )
+
+    def test_unit_domain_past_the_axis_limit(self, capsys, tmp_path, no_enumeration):
+        path = tmp_path / "unit.csp"
+        path.write_text("p csp 100000 1\n")
+        code, out, _ = run(capsys, "solve", "--alg", "brute", str(path))
+        assert code == 0 and json.loads(out)["assignment"] == [0] * 100_000
+
+    def test_cap_exceeded(self, capsys, tmp_path, no_enumeration):
+        path = tmp_path / "wide.csp"
+        path.write_text("p csp 25 2\nn 1 1 0\n")
+        with pytest.raises(ValueError) as info:
+            enumerate_solutions(parse_instance(path.read_text()))
+        assert str(info.value) == "search space d^n = 2^25 exceeds cap 16777216"
+        assert run(capsys, "solve", "--alg", "brute", str(path)) == (3, "", f"error: {info.value}\n")
 
 
 class TestOracle:

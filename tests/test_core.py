@@ -13,6 +13,7 @@ from kcsp import (
     save_instance,
     serialize_instance,
 )
+from kcsp import core
 from kcsp.core import NogoodState, _LimitExceeded
 from kcsp.generators import gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
@@ -471,6 +472,28 @@ class TestParsing:
             parse_instance("p csp 2 2\nn 1 9 0\n")
         assert info.value.line == 2
         assert "line 2" in str(info.value)
+
+    def test_each_nogood_canonicalized_once(self, monkeypatch):
+        calls, builds = [], []
+        canonical, init = core._canonical, CspInstance.__init__
+        monkeypatch.setattr(core, "_canonical", lambda *args: calls.append(args) or canonical(*args))
+        # still one pass through the constructor, as a wrapper on it sees
+        monkeypatch.setattr(CspInstance, "__init__", lambda *args: builds.append(args) or init(*args))
+        # five lines, one of them a repeat of the first in another pair order
+        text = "p csp 4 3\nn 2 3 1 1 0\nn 1 2 2\nn 0\nn 2 1 0 3 1\nn 3 4 0 2 1 1 2\n"
+        inst = parse_instance(text)
+        assert len(calls) == 5 and len(builds) == 1
+        raw = [[(3, 1), (1, 0)], [(2, 2)], [], [(1, 0), (3, 1)], [(4, 0), (2, 1), (1, 2)]]
+        assert inst == CspInstance(4, 3, raw)
+        assert pair_lists(inst) == [((1, 0), (3, 1)), ((2, 2),), (), ((1, 2), (2, 1), (4, 0))]
+        assert inst.k_max == 3
+
+    def test_variable_count_limit_after_the_lines(self):
+        # the lines are checked first, the header's n by the instance after
+        with pytest.raises(ParseError, match="^line 3: value 5 out of range 0..1$"):
+            parse_instance(f"p csp {(1 << 20) + 1} 2\nn 1 1 0\nn 1 2 5\n")
+        with pytest.raises(_LimitExceeded, match="^1048577 variables exceed the limit of 1048576$"):
+            parse_instance(f"p csp {(1 << 20) + 1} 2\nn 1 1 0\n")
 
     def test_round_trip_on_fuzz(self):
         rng = random.Random(4103)

@@ -5,10 +5,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kcsp import (
     CspInstance,
+    SolutionSet,
     avg_narrow_count,
     enumerate_solutions,
     isolation_degrees,
@@ -18,7 +20,7 @@ from kcsp import oracle
 from kcsp.generators import gen_coloring, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
 
-from bruteforce import brute_avg_narrow, brute_critical_dims, brute_solutions
+from bruteforce import brute_avg_narrow, brute_critical_dims, brute_is_satisfying, brute_solutions
 from conftest import random_instance
 
 
@@ -30,8 +32,68 @@ def pair_forcing():
     return CspInstance(2, 2, [[(1, 0)], [(1, 1), (2, 0)]])
 
 
+def two_pass_decode(codes, n, d):
+    """Reference decode: the points with the given codes, 2^16 rows at a
+    time, through one list of ints per digit column."""
+    points = []
+    for lo in range(0, len(codes), 1 << 16):
+        rest = codes[lo : lo + (1 << 16)]
+        columns = []
+        for _ in range(n):
+            rest, digit = np.divmod(rest, d)
+            columns.append(digit.tolist())
+        points += zip(*reversed(columns))
+    return tuple(points)
+
+
+def two_pass_critical_dims(ok, codes, n, d):
+    """Reference critical dimensions: each point's, read off the mask for
+    all codes at once, with divisions of their own."""
+    keys = np.zeros(len(codes), dtype=np.int64)
+    if d > 1:
+        rest = codes
+        for i in range(n - 1, -1, -1):
+            rest, digit = np.divmod(rest, d)
+            power = d ** (n - 1 - i)
+            base = codes - digit * power
+            stays = ok[base]
+            for a in range(1, d):
+                stays &= ok[base + a * power]
+            keys[~stays] |= 1 << i
+    keys = keys.tolist()
+    shared = {key: tuple(i + 1 for i in range(n) if key >> i & 1) for key in set(keys)}
+    return tuple(map(shared.__getitem__, keys))
+
+
+def two_pass_solutions(inst, cap=oracle.DEFAULT_CAP):
+    """The solution set from the two reference passes over the mask."""
+    ok = oracle._solution_mask(inst, cap)
+    codes = np.flatnonzero(ok)
+    dims = two_pass_critical_dims(ok, codes, inst.n, inst.d)
+    points = two_pass_decode(codes, inst.n, inst.d)
+    return SolutionSet(inst.n, inst.d, points, dims, tuple(map(len, dims)))
+
+
+def assert_same_as_two_pass(inst, cap=oracle.DEFAULT_CAP):
+    sols = enumerate_solutions(inst, cap)
+    assert sols == two_pass_solutions(inst, cap)
+    # plain ints throughout, as JSON and the exact checks need
+    values = itertools.chain(itertools.chain.from_iterable(sols.solutions), sols.isolation,
+                             itertools.chain.from_iterable(sols.critical_dims))
+    assert {type(x) for x in values} <= {int}
+    return sols
+
+
+def restricted(n, d, allowed, nogoods=()):
+    """An instance whose variable v takes only the values in allowed[v - 1],
+    by one unary nogood per other value, plus the given nogoods."""
+    unary = [[(v, a)] for v, values in enumerate(allowed, start=1) for a in range(d)
+             if a not in values]
+    return CspInstance(n, d, unary + list(nogoods))
+
+
 def assert_matches_reference(inst):
-    sols = enumerate_solutions(inst)
+    sols = assert_same_as_two_pass(inst)
     expected = brute_solutions(inst)
     assert sols.solutions == tuple(expected)
     dims = [tuple(sorted(brute_critical_dims(X, expected, inst.n, inst.d))) for X in expected]
@@ -70,6 +132,7 @@ class TestEnumerateSolutions:
 
     def test_matches_reference_on_corpus(self):
         for name, inst in corpus():
+            assert enumerate_solutions(inst) == two_pass_solutions(inst), name
             if inst.d**inst.n > 1 << 16:
                 continue
             assert enumerate_solutions(inst).solutions == tuple(
@@ -100,7 +163,7 @@ class TestEnumerateSolutions:
     def test_decode_crosses_row_blocks(self):
         # 104,976 solutions: one full block of 2^16 rows and a partial one
         inst = CspInstance(11, 3, [[(1, 0), (5, 2)], [(11, 1)]])
-        sols = enumerate_solutions(inst)
+        sols = assert_same_as_two_pass(inst)
         expected = brute_solutions(inst)
         assert len(expected) == 104_976
         assert sols.solutions == tuple(expected)
@@ -116,6 +179,57 @@ class TestEnumerateSolutions:
         # axes of length 1 were kept
         for nogood in ([(64, 0), (65, 0)], [(v, 0) for v in range(1, 141, 2)]):
             assert_matches_reference(CspInstance(140, 1, [nogood]))
+
+
+class TestFusedPass:
+    """Wide digits, the memory the blocks bound, and the first solution
+    read off the mask."""
+
+    def test_wide_digits_two_variables(self):
+        # digits up to 299 do not fit in a byte
+        inst = CspInstance(2, 300, [[(1, 256)], [(2, 299)], [(1, 3), (2, 257)], [(1, 299), (2, 0)]])
+        sols = assert_same_as_two_pass(inst)
+        expected = brute_solutions(inst)
+        assert sols.solutions == tuple(expected) and len(expected) == 299 * 299 - 2
+        for row in (0, 1, 2 * 299 + 256, len(expected) - 1):
+            X = expected[row]
+            assert set(sols.critical_dims[row]) == brute_critical_dims(X, expected, 2, 300)
+        assert sols.solutions[-1] == (299, 298)
+
+    def test_wide_digits_three_variables(self):
+        # 300^3 points, past the default cap; values on both sides of 256
+        allowed = [{0, 7, 255, 299}, {0, 256, 299}, {1, 255, 256, 257, 299}]
+        inst = restricted(3, 300, allowed, [[(1, 299), (3, 256)], [(2, 256), (3, 1)]])
+        sols = assert_same_as_two_pass(inst, cap=300**3)
+        candidates = itertools.product(*map(sorted, allowed))
+        expected = [X for X in candidates if brute_is_satisfying(inst, X)]
+        assert sols.solutions == tuple(expected) and len(expected) == 4 * 3 * 5 - 3 - 4
+        for X, dims in zip(expected, sols.critical_dims):
+            assert set(dims) == brute_critical_dims(X, expected, 3, 300)
+
+    def test_traced_peak_bounded_by_blocks(self):
+        # 2^20 solutions of 20 variables: beyond the returned tuples, the
+        # pass holds one list of S pointers beside its tuple at a time and
+        # one block's digit matrix and temporaries
+        tracemalloc.start()
+        try:
+            sols = enumerate_solutions(CspInstance(20, 2))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sols) == 1 << 20 and sols.solutions[-1] == (1,) * 20
+        assert peak - held < 16 << 20, (held, peak)
+
+    def test_first_solution_read_off_the_mask(self):
+        rng = random.Random(561)
+        instances = [inst for _, inst in corpus()] + [CspInstance(70, 1), CspInstance(3, 1, [[]])]
+        instances += [random_instance(rng, max_d=4) for _ in range(200)]
+        for inst in instances:
+            solutions = enumerate_solutions(inst).solutions
+            assert oracle._first_solution(inst) == (solutions[0] if solutions else None)
+        assert oracle._first_solution(CspInstance(1 << 20, 1)) == (0,) * (1 << 20)
+        with pytest.raises(ValueError, match="^search space d\\^n = 2\\^25 exceeds cap 16777216$"):
+            oracle._first_solution(CspInstance(25, 2))
 
 
 def with_solutions(points, n, d):
