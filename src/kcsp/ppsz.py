@@ -9,16 +9,19 @@ probability bound makes overall failure unlikely on satisfiable input.
 
 Iteration i reads 2n counter-based splitmix64 words from
 `derive_seed(seed, i)`, so its outcome depends on (seed, i) alone.
-`iteration_successes` runs many iterations as one numpy block;
-`solve_ppsz` runs them one at a time in plain Python, since it usually
-stops after one to three, and reads the same words, so its iteration i
-is the block's row i.
+Both ways of running iterations keep `NogoodState`'s levels, the bitsets
+of the live nogoods by their count of unassigned pairs.
+`iteration_successes` runs many iterations as one numpy block, each row
+holding its levels as 64-bit words; `solve_ppsz` runs them one at a time
+on a `NogoodState` in plain Python, since it usually stops after one to
+three, and reads the same words, so its iteration i is the block's row i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +30,10 @@ from .core import CspInstance, NogoodState, is_satisfying
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Rows per block of `iteration_successes`, fewer when a block's status
-# array (m+1 per row) or stream words (2n per row) would pass _BLOCK_CELLS
-# entries; outcomes do not depend on either.
-_BLOCK_ROWS = 1024
-_BLOCK_CELLS = 1 << 18
+# Rows per block of `iteration_successes`, fewer when a block's arrays
+# would pass _BLOCK_BYTES (see `_block_rows`); outcomes depend on neither.
+_BLOCK_ROWS = 2048
+_BLOCK_BYTES = 1 << 21
 
 
 def _splitmix64(x: int) -> int:
@@ -43,11 +45,14 @@ def _splitmix64(x: int) -> int:
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """`_splitmix64` of each entry of a uint64 array (array arithmetic wraps
-    mod 2^64, as the masks do above)."""
+    mod 2^64, as the masks do above), in a new array."""
     x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -56,13 +61,13 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def _stream_words(seed: int, first: int, rows: int, count: int) -> np.ndarray:
-    """(rows, count) uint64: row r holds words 0..count-1 of the splitmix64
-    stream seeded by s = derive_seed(seed, first + r), word t being
-    _splitmix64(s + t * golden)."""
+    """(count, rows) uint64: column r holds words 0..count-1 of the
+    splitmix64 stream seeded by s = derive_seed(seed, first + r), word t
+    being _splitmix64(s + t * golden)."""
     index = np.arange(first, first + rows, dtype=np.uint64)
     starts = _splitmix64_array(np.uint64(_splitmix64(seed & _MASK64)) ^ _splitmix64_array(index))
     steps = np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _splitmix64_array(starts[:, None] + steps)
+    return _splitmix64_array(steps[:, None] + starts)
 
 
 @dataclass(frozen=True)
@@ -110,94 +115,157 @@ def _iterate(instance: CspInstance, state: NogoodState, s: int):
     return tuple(state.values[1:]), narrow
 
 
-def _block_tables(instance: CspInstance) -> tuple:
-    """Per-instance tables for `_run_block`, each row padded to a common width.
+class _BlockTables(NamedTuple):
+    """`NogoodState`'s masks (`CspInstance._masks`) as numpy arrays for
+    `_run_block`, each mask as W = ceil(m/64) uint64 words, nogood j at bit
+    j % 64 of word j // 64.
 
-    occ_j[y], occ_a[y]: the (nogood, value) pairs naming variable y, padded
-    with (m, -1), a column of the status array that stays dead and a value
-    never drawn.  ng_vars[j], ng_vals[j]: nogood j's pairs, padded with
-    (0, 0), which every row's unused column 0 agrees with.
+    vals[i, y] is the i-th smallest value named with variable y, and
+    match[i, :, y] the mask of the nogoods naming that pair; entries past
+    y's values hold the value d and an empty mask.  levels[c - 1, :] is the
+    initial level c, for c = 1..max(k_max, 1).  ng_vars[j], ng_vals[j]:
+    nogood j's pairs, padded with (0, 0), which every row's unused column 0
+    agrees with; only the safety check reads them, so it does not rest on
+    the masks it checks.
     """
-    n, m = instance.n, len(instance.nogoods)
-    width = max(1, max(map(len, instance.by_var)))
-    occ_j = np.full((n + 1, width), m, dtype=np.intp)
-    occ_a = np.full((n + 1, width), -1, dtype=np.intp)
-    for y, entries in enumerate(instance.by_var):
-        for p, (j, a) in enumerate(entries):
-            occ_j[y, p], occ_a[y, p] = j, a
+
+    match: np.ndarray
+    vals: np.ndarray
+    levels: np.ndarray
+    ng_vars: np.ndarray
+    ng_vals: np.ndarray
+
+
+def _words(masks, width: int) -> np.ndarray:
+    """(len(masks), width) uint64: each int mask as `width` words, low first."""
+    raw = b"".join([mask.to_bytes(8 * width, "little") for mask in masks])
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, width)
+
+
+def _block_tables(instance: CspInstance) -> _BlockTables:
+    """The tables `_run_block` reads, built once per `iteration_successes` call."""
+    n, d, m = instance.n, instance.d, len(instance.nogoods)
+    _, match, initial = instance._masks
+    width = max(1, -(-m // 64))
+    columns = max(1, max(map(len, match)))
+    vals = np.full((columns, n + 1), d, dtype=np.intp)
+    masks = [[0] * (n + 1) for _ in range(columns)]
+    for y, named in enumerate(match):
+        for i, (a, mask) in enumerate(sorted(named.items())):
+            vals[i, y] = a
+            masks[i][y] = mask
+    words = np.empty((columns, width, n + 1), dtype=np.uint64)
+    for i, column in enumerate(masks):
+        words[i] = _words(column, width).T
     ng_vars = np.zeros((m, instance.k_max), dtype=np.intp)
     ng_vals = np.zeros((m, instance.k_max), dtype=np.intp)
     for j, ng in enumerate(instance.nogoods):
         for p, (v, a) in enumerate(ng.pairs):
             ng_vars[j, p], ng_vals[j, p] = v, a
-    return occ_j, occ_a, ng_vars, ng_vals
+    return _BlockTables(
+        match=words,
+        vals=vals,
+        levels=_words(initial[1:], width),
+        ng_vars=ng_vars,
+        ng_vals=ng_vals,
+    )
 
 
 def _rows_matching(values: np.ndarray, ng_vars: np.ndarray, ng_vals: np.ndarray) -> np.ndarray:
     """Whether each row of `values` (variable v's value in column v) matches
     some nogood in full, read off the nogood table alone, one pair
     position at a time so that no temporary exceeds rows x m."""
-    hit = np.ones((len(values), len(ng_vars)), dtype=bool)
+    columns = np.ascontiguousarray(values.T)
+    hit = np.ones((len(ng_vars), len(values)), dtype=bool)
     for p in range(ng_vars.shape[1]):
-        hit &= values[:, ng_vars[:, p]] == ng_vals[:, p]
-    return hit.any(axis=1)
+        hit &= columns[ng_vars[:, p]] == ng_vals[:, p, None]
+    return hit.any(axis=0)
 
 
-def _run_block(instance: CspInstance, tables: tuple, words: np.ndarray) -> np.ndarray:
-    """Run one iteration per row of `words` ((rows, 2n) uint64); return
-    whether each completes.
+def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -> np.ndarray:
+    """Run one iteration for each row of the block, that is, for each
+    column r of `words` ((2n, rows) uint64); return whether each completes.
 
     Row r shuffles the variables by Fisher-Yates (step t swaps position t
-    with position words[r, t] mod (t+1), for t = n-1..1), then gives the
-    variable at position t the (words[r, n+t] mod c)-th smallest of its c
-    allowed values, aborting when c = 0.  status[r, j] folds NogoodState's
-    counts into one integer: nogood j's unassigned pairs while it is live,
-    `killed` once an assigned pair disagrees, so a live nogood with one
-    pair left, the only kind that forbids a value, reads exactly 1.
+    with position words[t, r] mod (t+1), for t = n-1..1), then gives the
+    variable y at position t the (words[n+t, r] mod c)-th smallest of its c
+    allowed values, aborting when c = 0.
+
+    Every array keeps the rows on its last axis.  Each row carries
+    NogoodState's levels 1..K, as a (K, W, rows) array with level c at
+    index c - 1, and each step
+    applies `NogoodState.forbidden` and `NogoodState.assign` to all rows
+    at once: value a is forbidden iff levels[1] & match[y][a] is nonzero,
+    and assigning a clears touch[y], the union of y's masks, from every
+    level and moves levels[c+1] & match[y][a] down to level c.  Level 0 is
+    not kept: it would only gain levels[1] & match[y][a], which is zero
+    unless a was forbidden, that is, unless the row has aborted.
     """
-    n, d, m = instance.n, instance.d, len(instance.nogoods)
-    occ_j, occ_a, ng_vars, ng_vals = tables
-    rows = len(words)
+    n, d = instance.n, instance.d
+    rows = words.shape[1]
     if 0 in instance.arities:
         return np.zeros(rows, dtype=bool)  # an arity-0 nogood empties every domain
-    # above any live count, and no later decrements bring it down to 1
-    killed = max(instance.k_max, 1) + 1
-    dtype = np.min_scalar_type(max(d, killed))
     row = np.arange(rows)
-    order = np.tile(np.arange(1, n + 1), (rows, 1))
+    order = np.tile(np.arange(1, n + 1)[:, None], rows)
+    # each row's swap partner as an index into the flattened order, so
+    # that a step is one 1-d gather and scatter
+    cells = order.reshape(-1)
+    swaps = (words[1:n] % np.arange(2, n + 1, dtype=np.uint64)[:, None]).astype(np.intp)
+    swaps *= rows
+    swaps += row
     for t in range(n - 1, 0, -1):
-        swap = (words[:, t] % np.uint64(t + 1)).astype(np.intp)
-        picked = order[row, swap]
-        order[row, swap] = order[:, t]
-        order[:, t] = picked
-    status = np.empty((rows, m + 1), dtype=dtype)
-    status[:, :m] = instance.arities
-    status[:, m] = killed
-    status = status.ravel()
-    status_base = (row * (m + 1))[:, None]
-    forbid_base = (row * (d + 1))[:, None]
-    values = np.zeros((rows, n + 1), dtype=dtype)
+        swap = swaps[t - 1]
+        picked = cells[swap]
+        cells[swap] = order[t]
+        order[t] = picked
+    levels = np.repeat(tables.levels[:, :, None], rows, axis=2)
+    picks = np.empty((n, rows), dtype=np.intp)
     alive = np.ones(rows, dtype=bool)
     for t in range(n):
-        y = order[:, t]
-        cells = status_base + occ_j[y]
-        a = occ_a[y]
-        left = status[cells]
-        forbidden = np.zeros(rows * (d + 1), dtype=bool)
-        forbidden[forbid_base + np.where(left == 1, a, d)] = True
-        rank = (~forbidden.reshape(rows, d + 1)[:, :d]).cumsum(axis=1)
-        count = rank[:, -1]
+        y = order[t]
+        match = tables.match.take(y, axis=2)
+        vals = tables.vals.take(y, axis=1)
+        hit = (match & levels[0]).any(axis=1)
+        count = d - np.count_nonzero(hit, axis=0)
         alive &= count > 0
         if not alive.any():
             return alive
-        pick = words[:, n + t] % np.maximum(count, 1).astype(np.uint64)
-        # the pick-th allowed value (d in a row that has just aborted)
-        value = (rank <= pick.astype(np.intp)[:, None]).sum(axis=1)
-        values[row, y] = value
-        status[cells] = np.where(a == value[:, None], left - 1, killed)
-    if _rows_matching(values[alive], ng_vars, ng_vals).any():
+        value = (words[n + t] % np.maximum(count, 1).astype(np.uint64)).astype(np.intp)
+        # the forbidden values in ascending order, each one at or below
+        # the value so far moving it up by one (the other entries read d,
+        # above any value of a row still alive)
+        for forbidden in np.where(hit, vals, d):
+            value += forbidden <= value
+        chosen = np.bitwise_or.reduce(match * (vals == value)[:, None, :], axis=0)
+        lower = levels[1:] & chosen
+        levels &= ~np.bitwise_or.reduce(match, axis=0)
+        levels[:-1] |= lower
+        picks[t] = value
+    values = np.zeros((n + 1, rows), dtype=np.intp)
+    values.reshape(-1)[(order * rows + row).reshape(-1)] = picks.reshape(-1)
+    if _rows_matching(values[:, alive].T, tables.ng_vars, tables.ng_vals).any():
         raise RuntimeError("a completed PPSZ iteration matches a nogood")
     return alive
+
+
+def _row_bytes(instance: CspInstance, tables: _BlockTables) -> int:
+    """Bytes that one row of a block takes, arrays and temporaries, counted
+    high: 2n stream words (three copies while they are hashed) and n
+    positions, swaps, picks and values; the K levels and as many mask
+    temporaries again, plus four, of W words each; y's V gathered value
+    masks of W words, twice; a few V-entry columns; and the safety check's
+    m-entry gather and comparisons.  No array has a column per value, so d
+    enters only through V <= d."""
+    n, m = instance.n, len(instance.nogoods)
+    levels, width = tables.levels.shape
+    named = len(tables.vals)
+    return 8 * (10 * n + (2 * levels + 4) * width + 2 * named * width + 6 * named) + 10 * m
+
+
+def _block_rows(instance: CspInstance, tables: _BlockTables) -> int:
+    """Rows per block: _BLOCK_ROWS, fewer when they would take more than
+    _BLOCK_BYTES, but at least one."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // _row_bytes(instance, tables)))
 
 
 def iteration_successes(instance: CspInstance, seed: int, count: int) -> list[int]:
@@ -206,8 +274,7 @@ def iteration_successes(instance: CspInstance, seed: int, count: int) -> list[in
     stream seeded by derive_seed(seed, i), so its outcome depends on
     (seed, i) alone, whatever the block size."""
     tables = _block_tables(instance)
-    span = max(len(instance.nogoods) + 1, 2 * instance.n)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // span))
+    rows = _block_rows(instance, tables)
     outcomes: list[int] = []
     for first in range(1, count + 1, rows):
         words = _stream_words(seed, first, min(rows, count + 1 - first), 2 * instance.n)

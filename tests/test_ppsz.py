@@ -159,28 +159,62 @@ def replay_instances():
     return instances
 
 
+def word_edge_instances():
+    """m = 63, 64, 65, 128 and 129 nogoods, on both sides of a 64-bit word
+    edge: random ternary nogoods, then the unary (1, 0) last, so that the
+    highest bit forbids a value in every row.  And a d = 300 instance
+    whose nogoods name sparse values: variables 1 and 2 keep three values
+    each, and binary nogoods over them and variables 3 and 4 forbid values
+    far apart, and every value of variable 2 once variable 1 is 5."""
+    rng = random.Random(814)
+    instances = []
+    for m in (63, 64, 65, 128, 129):
+        nogoods = {}
+        while len(nogoods) < m - 1:
+            pairs = ((v, rng.randrange(3)) for v in rng.sample(range(1, 11), 3))
+            nogoods[tuple(sorted(pairs))] = None
+        instances.append(CspInstance(10, 3, [*nogoods, [(1, 0)]]))
+    keep = {1: (5, 17, 299), 2: (0, 150, 298)}
+    nogoods = [[(v, a)] for v, kept in keep.items() for a in range(300) if a not in kept]
+    nogoods += [[(1, 5), (2, b)] for b in keep[2]]
+    nogoods += [[(1, 17), (3, 64)], [(2, 150), (3, 0)], [(2, 298), (3, 299)]]
+    nogoods += [[(3, c), (4, 200 - c)] for c in range(0, 200, 9)]
+    instances.append(CspInstance(4, 300, nogoods))
+    return instances
+
+
+def assert_replays_reference(monkeypatch, instances, count=30):
+    """iteration_successes on each instance, at 7 rows per block so that
+    blocks end part full, against reference_block_iteration row by row:
+    the outcomes, and the completed rows' assignments, read where the
+    kernel's own safety check sees them.  Returns the outcome lists."""
+    completed = []
+    rows_matching = ppsz._rows_matching
+
+    def recording(values, ng_vars, ng_vals):
+        completed.extend(tuple(row[1:]) for row in values.tolist())
+        return rows_matching(values, ng_vars, ng_vals)
+
+    monkeypatch.setattr(ppsz, "_rows_matching", recording)
+    monkeypatch.setattr(ppsz, "_BLOCK_ROWS", 7)
+    runs = []
+    for number, inst in enumerate(instances):
+        seed = 1000 + number
+        completed.clear()
+        outcomes = iteration_successes(inst, seed, count)
+        reference = [reference_block_iteration(inst, seed, i)[0] for i in range(1, count + 1)]
+        assert outcomes == [int(point is not None) for point in reference], number
+        assert completed == [point for point in reference if point is not None], number
+        assert all(brute_is_satisfying(inst, point) for point in completed)
+        runs.append(outcomes)
+    return runs
+
+
 class TestIterationBlocks:
     def test_replays_reference_row_by_row(self, monkeypatch):
-        # the completed rows' assignments are read where the kernel's own
-        # safety check sees them; 7 rows per block leaves partial blocks
-        completed = []
-        rows_matching = ppsz._rows_matching
-
-        def recording(values, ng_vars, ng_vals):
-            completed.extend(tuple(row[1:]) for row in values.tolist())
-            return rows_matching(values, ng_vars, ng_vals)
-
-        monkeypatch.setattr(ppsz, "_rows_matching", recording)
-        monkeypatch.setattr(ppsz, "_BLOCK_ROWS", 7)
+        instances = replay_instances()
         kinds = set()
-        for number, inst in enumerate(replay_instances()):
-            seed, count = 1000 + number, 30
-            completed.clear()
-            outcomes = iteration_successes(inst, seed, count)
-            reference = [reference_block_iteration(inst, seed, i)[0] for i in range(1, count + 1)]
-            assert outcomes == [int(point is not None) for point in reference], number
-            assert completed == [point for point in reference if point is not None], number
-            assert all(brute_is_satisfying(inst, point) for point in completed)
+        for inst, outcomes in zip(instances, assert_replays_reference(monkeypatch, instances)):
             kinds.add("sat" if any(outcomes) else "no success")
             kinds.add("abort" if not all(outcomes) else "all complete")
             if 0 in inst.arities:
@@ -188,6 +222,13 @@ class TestIterationBlocks:
             if inst.d == 1:
                 kinds.add("d = 1")
         assert kinds == {"sat", "no success", "abort", "all complete", "arity 0", "d = 1"}
+
+    def test_replays_reference_across_word_edges(self, monkeypatch):
+        instances = word_edge_instances()
+        widths = [ppsz._block_tables(inst).levels.shape[1] for inst in instances]
+        assert widths == [1, 1, 2, 2, 3, 10]
+        for outcomes in assert_replays_reference(monkeypatch, instances, count=40):
+            assert 0 < sum(outcomes) < len(outcomes)
 
     def test_solver_stops_at_the_first_block_success(self):
         # one stream: solve_ppsz's iteration i is the block's row i
@@ -204,14 +245,25 @@ class TestIterationBlocks:
             kinds.add((stats.status, first > 1))
         assert kinds == {("SAT", False), ("SAT", True), ("FAILURE", True)}
 
-    @pytest.mark.parametrize("name", ["pair-forcing", "k3-d2", "queens-4", "uniform-4", "zero-arity"])
+    @pytest.mark.parametrize(
+        "name", ["pair-forcing", "k3-d2", "queens-4", "queens-6", "uniform-4", "zero-arity"]
+    )
     def test_records_do_not_depend_on_block_size(self, monkeypatch, name):
+        # the last run keeps _BLOCK_ROWS and lets a small byte budget cap
+        # the block, as a large instance's arrays would at the default one
         inst = dict(corpus())[name]
-        records = {}
-        for rows in (1, 7, ppsz._BLOCK_ROWS):
+        tables = ppsz._block_tables(inst)
+        default_rows, default_budget = ppsz._BLOCK_ROWS, ppsz._BLOCK_BYTES
+        capped = 50 * ppsz._row_bytes(inst, tables) + 1
+        records = []
+        for rows, budget in ((1, default_budget), (7, default_budget),
+                             (default_rows, default_budget), (default_rows, capped)):
             monkeypatch.setattr(ppsz, "_BLOCK_ROWS", rows)
-            records[rows] = estimate_iteration_success(inst, trials=300, seed=12).records
-        first, *rest = records.values()
+            monkeypatch.setattr(ppsz, "_BLOCK_BYTES", budget)
+            if budget == capped:
+                assert ppsz._block_rows(inst, tables) == 50
+            records.append(estimate_iteration_success(inst, trials=300, seed=12).records)
+        first, *rest = records
         assert all(other == first for other in rest)
         assert len(first) == 300 and set(first) <= {0, 1}
 
@@ -233,11 +285,24 @@ class TestIterationBlocks:
         rng = random.Random(812)
         for _ in range(100):
             inst = random_instance(rng)
-            _, _, ng_vars, ng_vals = ppsz._block_tables(inst)
+            tables = ppsz._block_tables(inst)
             points = [tuple(rng.randrange(inst.d) for _ in range(inst.n)) for _ in range(6)]
             values = np.array([(0, *point) for point in points])
             expected = [any(matches(ng.pairs, point) for ng in inst.nogoods) for point in points]
-            assert ppsz._rows_matching(values, ng_vars, ng_vals).tolist() == expected
+            assert ppsz._rows_matching(values, tables.ng_vars, tables.ng_vals).tolist() == expected
+
+    def test_safety_check_does_not_read_the_masks(self, monkeypatch):
+        # with every mask zeroed no value is ever forbidden, so rows complete
+        # on nogood matches; the check reads the nogood table and refuses
+        block_tables = ppsz._block_tables
+
+        def maskless(instance):
+            tables = block_tables(instance)
+            return tables._replace(match=np.zeros_like(tables.match))
+
+        monkeypatch.setattr(ppsz, "_block_tables", maskless)
+        with pytest.raises(RuntimeError, match="matches a nogood"):
+            iteration_successes(pair_forcing(), seed=0, count=50)
 
     def test_numpy_random_is_never_imported(self):
         script = (
@@ -271,6 +336,20 @@ class TestIterationBlocks:
         finally:
             tracemalloc.stop()
         assert len(result.records) == 200
+        assert peak < 6 * 2**20, peak
+
+    def test_memory_bounded_on_a_wide_domain(self):
+        # d = 2^13: no block array has a column per value (1,024 rows of
+        # d + 1 entries each would take over 100 MiB)
+        inst = CspInstance(1, 1 << 13, [[(1, 0)]])
+        inst.by_var, inst.arities  # cached on the instance, outside the trace
+        tracemalloc.start()
+        try:
+            result = estimate_iteration_success(inst, trials=1024, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.records == [1] * 1024
         assert peak < 6 * 2**20, peak
 
 
