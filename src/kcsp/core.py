@@ -8,15 +8,18 @@ satisfies the instance iff no nogood is fully matched.
 `CspInstance(n, d, nogoods)` takes each nogood as a plain list of pairs;
 `_canonical` checks and sorts one nogood's pairs for the constructor and
 the parser alike, so both refuse the same faults with the same messages.
-The parser canonicalizes each line once and hands the constructor a
-`_CanonicalNogoods` list, whose pairs it does not check again.
+A nogood that is already canonical, a tuple of (int, int) tuples sorted by
+variable, passes through as the same object, so the generators share pair
+tuples among their nogoods.  The parser canonicalizes each line once and
+hands the constructor a `_CanonicalNogoods` list, whose pairs it does not
+check again.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import chain
-from operator import or_
+from itertools import chain, repeat
+from operator import index, or_
 from typing import NamedTuple
 
 
@@ -47,14 +50,30 @@ class _NogoodRecord(NamedTuple):
 def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
     """One nogood's (variable, value) pairs as ints, sorted by variable.
 
-    The pairs are checked in the order given, each for its variable in
-    1..n, then its value in 0..d-1, then a variable named before; the
-    first fault raises ValueError.
+    A tuple of (int, int) tuples, with exact int entries, variables
+    strictly increasing in 1..n and values in 0..d-1, is returned as it is.
+    Anything else goes through the ordered loop: its pairs are checked in
+    the order given, each for integer entries (variable, then value: an
+    entry that `operator.index` refuses raises "entry <repr> is not an
+    integer"), then its variable in 1..n, then its value in 0..d-1, then a
+    variable named before; the first fault raises ValueError.  The entries
+    become exact ints, so numpy integers and bools are taken as integers.
     """
+    if type(pairs) is tuple:
+        last = 0
+        for pair in pairs:
+            if type(pair) is not tuple or len(pair) != 2:
+                break
+            v, a = pair
+            if type(v) is not int or type(a) is not int or not last < v <= n or not 0 <= a < d:
+                break
+            last = v
+        else:
+            return pairs
     canonical = []
     seen = set()
     for v, a in pairs:
-        v, a = int(v), int(a)
+        v, a = _as_int(v), _as_int(a)
         if not 1 <= v <= n:
             raise ValueError(f"variable {v} out of range 1..{n}")
         if not 0 <= a < d:
@@ -67,6 +86,15 @@ def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(canonical)
 
 
+def _as_int(entry) -> int:
+    """`entry` as an exact int, by `operator.index`: a float or a string is
+    refused, where int() would truncate or parse it."""
+    try:
+        return index(entry)
+    except TypeError:
+        raise ValueError(f"entry {entry!r} is not an integer") from None
+
+
 class _CanonicalNogoods(list):
     """Nogoods that `_canonical` already made for the instance's n and d,
     as the parser collects them: `CspInstance` only drops their repeats."""
@@ -76,9 +104,11 @@ class CspInstance:
     """Immutable CSP instance: n variables over {0..d-1} plus a nogood list.
 
     Each nogood is given as an iterable of (variable, value) pairs.  Its
-    entries become ints and its pairs are sorted by variable; a variable
-    outside 1..n, a value outside 0..d-1 or a variable named twice in one
-    nogood raises ValueError.  Repeated nogoods are dropped, keeping
+    entries become ints and its pairs are sorted by variable; an entry that
+    is not an integer, a variable outside 1..n, a value outside 0..d-1 or a
+    variable named twice in one nogood raises ValueError.  A nogood given
+    in that form already, a tuple of (int, int) tuples sorted by variable,
+    is kept as the same object.  Repeated nogoods are dropped, keeping
     first-occurrence order.  `nogoods` holds one record per nogood, whose
     `pairs` is that sorted tuple (pass those `pairs` to build another
     instance from them).  Safe to share across threads.
@@ -94,9 +124,12 @@ class CspInstance:
         self.n = n
         self.d = d
         if not isinstance(nogoods, _CanonicalNogoods):
-            nogoods = (_canonical(pairs, n, d) for pairs in nogoods)
+            nogoods = map(_canonical, nogoods, repeat(n), repeat(d))
         unique = dict.fromkeys(nogoods)
-        self.nogoods: tuple[_NogoodRecord, ...] = tuple(map(_NogoodRecord, unique))
+        # each record from the 1-tuple (pairs,), as NamedTuple._make builds
+        # it, without a Python-level __new__ call per record
+        records = map(tuple.__new__, repeat(_NogoodRecord), zip(unique))
+        self.nogoods: tuple[_NogoodRecord, ...] = tuple(records)
         self.k_max = max(map(len, unique), default=0)
 
     def __eq__(self, other):
@@ -139,8 +172,9 @@ class CspInstance:
         A mask takes about (its highest nogood index) / 8 bytes: all of
         them together 10.6 MiB on gen_nqueens(40), 23.5 MiB on
         gen_latin(16) and 9.0 MiB on a 10,000-variable unary chain
-        (tracemalloc, `by_var` built first), against 30 MB and 25 MB for
-        the first two instances and their `by_var`.
+        (tracemalloc, `by_var` built first), against 19.1 MiB and 16.3 MiB
+        for the first two instances and their `by_var` (8.3 and 7.1 MiB
+        the instances alone, whose nogoods share their pair tuples).
         """
         touch = [0] * (self.n + 1)
         match: list[dict[int, int]] = [{}] * (self.n + 1)  # read-only where empty
@@ -317,8 +351,8 @@ def parse_instance(text) -> CspInstance:
             raise ParseError(
                 f"nogood declares arity {tokens[1]} but carries {len(ints) // 2} pairs", lineno
             )
-        try:
-            nogoods.append(_canonical(zip(ints[0::2], ints[1::2]), n, d))
+        try:  # as a tuple, a line in canonical order passes through as it is
+            nogoods.append(_canonical(tuple(zip(ints[0::2], ints[1::2])), n, d))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     if n is None:

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 
 from .core import CspInstance, _LimitExceeded
 
-# about 470 bytes of peak memory per nogood built, so roughly 0.5 GB
+# Peak memory per nogood built (tracemalloc, CPython 3.11): 165-200 bytes
+# for gen_latin, gen_nqueens and gen_coloring, whose nogoods share their
+# pairs; 310-390 for gen_uniform and gen_model_rb at k = 2 or 3, and about
+# 510 at k = 5.  So the limit holds a build to roughly 0.5 GB.
 _MAX_NOGOODS = 1 << 20
 
 
@@ -94,6 +98,8 @@ def gen_coloring(edges, num_vertices: int, d: int) -> CspInstance:
         raise ValueError(f"need d >= 2, got {d}")
     edges = list(edges)
     _check_count(len(edges) * d)
+    # per vertex w, its pairs (w, c), built once and shared by every nogood naming them
+    pairs: dict[int, list[tuple[int, int]]] = {}
     nogoods = []
     for u, v in edges:
         if u == v:
@@ -101,8 +107,11 @@ def gen_coloring(edges, num_vertices: int, d: int) -> CspInstance:
         for w in (u, v):
             if not 1 <= w <= num_vertices:
                 raise ValueError(f"vertex {w} out of range 1..{num_vertices}")
-        for c in range(d):
-            nogoods.append(((u, c), (v, c)))
+            if w not in pairs:
+                pairs[w] = [(w, c) for c in range(d)]
+        if u > v:  # pairs in variable order, as the instance keeps them
+            u, v = v, u
+        nogoods.extend(zip(pairs[u], pairs[v]))
     return CspInstance(num_vertices, d, nogoods)
 
 
@@ -115,14 +124,17 @@ def gen_latin(N: int) -> CspInstance:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     _check_count(N**3 * (N - 1))
-    cell = lambda i, j: (i - 1) * N + j
+    # pairs[v][c] is the pair (v, c), built once and shared by every nogood naming it
+    pairs = [None] + [[(v, c) for c in range(N)] for v in range(1, N * N + 1)]
+    cell = lambda i, j: pairs[(i - 1) * N + j]
     nogoods = []
     for i in range(1, N + 1):
         for j1 in range(1, N + 1):
             for j2 in range(j1 + 1, N + 1):
-                for c in range(N):
-                    nogoods.append(((cell(i, j1), c), (cell(i, j2), c)))  # same row
-                    nogoods.append(((cell(j1, i), c), (cell(j2, i), c)))  # same column
+                same_row = zip(cell(i, j1), cell(i, j2))
+                same_column = zip(cell(j1, i), cell(j2, i))
+                # per value, the same-row nogood, then the same-column one
+                nogoods.extend(chain.from_iterable(zip(same_row, same_column)))
     return CspInstance(N * N, N, nogoods)
 
 
@@ -132,14 +144,18 @@ def gen_nqueens(N: int) -> CspInstance:
         raise ValueError(f"need N >= 1, got {N}")
     # per row pair, N same-column nogoods; per distance t, 2(N - t)^2 diagonal ones
     _check_count(N * math.comb(N, 2) + N * (N - 1) * (2 * N - 1) // 3)
+    # attacks[t]: for rows t apart, the columns (a, b) of a queen attacking
+    # one, in nogood order (increasing a, then increasing b), as a column
+    # list for the upper row and one for the lower row
+    attacks = [None]
+    for t in range(1, N):
+        cols = [(a, b) for a in range(N) for b in (a - t, a, a + t) if 0 <= b < N]
+        attacks.append(tuple(zip(*cols)))
+    # pairs[v][a] is the pair (v, a), built once and shared by every nogood naming it
+    pairs = [None] + [[(v, a) for a in range(N)] for v in range(1, N + 1)]
     nogoods = []
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            t = j - i
-            for a in range(N):
-                # the columns of row j that a queen at (i, a) attacks, in increasing order
-                for b in (a - t, a, a + t):
-                    if 0 <= b < N:
-                        nogoods.append(((i, a), (j, b)))
+            upper, lower = attacks[j - i]
+            nogoods.extend(zip(map(pairs[i].__getitem__, upper), map(pairs[j].__getitem__, lower)))
     return CspInstance(N, N, nogoods)
-

@@ -81,6 +81,31 @@ class TestCspInstance:
         assert pair_lists(inst) == [((1, 0), (3, 1)), ((2, 1), (3, 1))]
         assert {type(x) for ng in inst.nogoods for pair in ng.pairs for x in pair} == {int}
 
+    def test_non_integer_entries_refused(self):
+        # int() would truncate 1.7 to 1 and read "2" as 2: neither is an integer entry
+        for pairs, entry in [
+            ([(1.7, 0)], 1.7),
+            ([("2", 1.9)], "2"),
+            ([(1, 0), (2, 1.0)], 1.0),
+            ([(1, None)], None),
+            (((1, 0), (2, np.float64(1.0))), np.float64(1.0)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'entry {entry!r} is not an integer')}$"):
+                CspInstance(2, 2, [pairs])
+        # integers of other types still are, and become exact ints
+        inst = CspInstance(2, 2, [[(np.int32(2), True), (np.uint8(1), False)]])
+        assert pair_lists(inst) == [((1, 0), (2, 1))]
+        assert {type(x) for pair in inst.nogoods[0].pairs for x in pair} == {int}
+
+    def test_canonical_nogood_kept_as_given(self):
+        # a sorted tuple of (int, int) tuples in range is the record's pairs itself
+        given = ((1, 0), (3, 1))
+        assert CspInstance(3, 2, [given]).nogoods[0].pairs is given
+        # any other form is rebuilt: a list, unsorted pairs, a bool entry
+        for other in ([(1, 0), (3, 1)], ((3, 1), (1, 0)), ((True, 0), (3, 1))):
+            pairs = CspInstance(3, 2, [other]).nogoods[0].pairs
+            assert pairs == given and pairs is not other
+
     def test_first_fault_in_given_order_is_reported(self):
         # each pair is checked for variable range, value range, then a repeat
         for pairs, message in [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,13 @@ class TestGenColoring:
     def test_triangle_two_colors_unsat(self):
         assert brute_solutions(gen_coloring([(1, 2), (2, 3), (1, 3)], 3, 2)) == []
 
+    def test_edge_orientation_irrelevant(self):
+        edges = [(1, 2), (3, 2), (4, 1), (2, 4), (2, 3)]  # the last repeats (3, 2)
+        inst = gen_coloring(edges, 4, 3)
+        assert inst == gen_coloring([(v, u) for u, v in edges], 4, 3)
+        expected = [((min(e), c), (max(e), c)) for e in edges[:4] for c in range(3)]
+        assert [ng.pairs for ng in inst.nogoods] == expected
+
     def test_rejects_self_loop_and_bad_vertex(self):
         with pytest.raises(ValueError, match="self-loop"):
             gen_coloring([(1, 1)], 2, 2)
@@ -115,6 +123,40 @@ class TestGenLatin:
         with pytest.raises(ValueError):
             gen_latin(0)
 
+    def test_matches_all_pairs_reference(self):
+        # same nogoods in the same order, so files and solver runs are unchanged
+        for N in range(1, 9):
+            assert gen_latin(N) == reference_latin(N), N
+
+    def test_peak_memory_per_nogood(self):
+        # about 175 bytes a nogood at peak (CPython 3.11), with each (v, a) pair
+        # one shared tuple; 451 when every nogood built two pairs of its own
+        tracemalloc.start()
+        try:
+            inst = gen_latin(16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(inst.nogoods) == 61_440
+        assert peak / len(inst.nogoods) < 260
+
+
+def reference_latin(N: int) -> CspInstance:
+    """gen_latin by testing every two cells for a shared row or column.  The
+    nogoods are ordered by the shared line's index, the two cells' positions
+    along it, the value, and a row before a column."""
+    cells = [(r, c) for r in range(1, N + 1) for c in range(1, N + 1)]
+    keyed = []
+    for r1, c1 in cells:
+        for r2, c2 in cells:
+            if (r1, c1) < (r2, c2) and (r1 == r2 or c1 == c2):
+                line, first, second, kind = (r1, c1, c2, 0) if r1 == r2 else (c1, r1, r2, 1)
+                u, w = (r1 - 1) * N + c1, (r2 - 1) * N + c2
+                for a in range(N):
+                    keyed.append(((line, first, second, a, kind), ((u, a), (w, a))))
+    keyed.sort()
+    return CspInstance(N * N, N, [ng for _, ng in keyed])
+
 
 def reference_nqueens(N: int) -> CspInstance:
     """gen_nqueens by testing every column pair (a, b) of every row pair."""
@@ -142,6 +184,16 @@ class TestGenNQueens:
         with pytest.raises(ValueError):
             gen_nqueens(0)
 
+
+@pytest.mark.parametrize(
+    "instance",
+    [gen_latin(5), gen_nqueens(8), gen_coloring([(1, 2), (3, 2), (4, 1), (2, 4)], 4, 3)],
+    ids=["latin", "nqueens", "coloring"],
+)
+def test_structured_generators_share_pairs(instance):
+    # one tuple per distinct (v, a) pair, kept by the instance as the generator built it
+    pairs = [pair for ng in instance.nogoods for pair in ng.pairs]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Hypothesis properties: the instance text format round-trips, DPLL
+"""Hypothesis properties: the instance text format round-trips, a nogood
+in any form is canonicalized as `_canonical`'s docstring says, DPLL
 agrees with the oracle and with the reference search on the counter
 kernel, isolation degrees match the definition on point sets with
 n <= 64, and the CLI answers any flag values and any instance file with a
@@ -11,6 +12,7 @@ examples."""
 import contextlib
 import io
 import math
+import operator
 import os
 import tempfile
 import warnings
@@ -49,6 +51,79 @@ def instances(draw):
 @given(instances())
 def test_parse_inverts_serialize(instance):
     assert parse_instance(serialize_instance(instance)) == instance
+
+
+def reference_canonical(pairs, n, d):
+    """`_canonical` as its docstring defines it, without the pass-through:
+    each pair in the order given is checked for integer entries, its
+    variable in 1..n, its value in 0..d-1 and a variable named before; then
+    the pairs are sorted by variable."""
+    seen, canonical = set(), []
+    for v, a in pairs:
+        for entry in (v, a):
+            try:
+                operator.index(entry)
+            except TypeError:
+                raise ValueError(f"entry {entry!r} is not an integer") from None
+        v, a = operator.index(v), operator.index(a)
+        if not 1 <= v <= n:
+            raise ValueError(f"variable {v} out of range 1..{n}")
+        if not 0 <= a < d:
+            raise ValueError(f"value {a} out of range 0..{d - 1}")
+        if v in seen:
+            raise ValueError(f"variable {v} repeated within nogood")
+        seen.add(v)
+        canonical.append((v, a))
+    return tuple(sorted(canonical))
+
+
+ENTRY_TYPES = [int, int, bool, np.int64, np.int32, float]
+
+
+@st.composite
+def raw_nogoods(draw):
+    """One nogood over n <= 6 variables and d <= 4 values as a caller might
+    give it: a tuple or a list of tuple or list pairs, sorted or not, its
+    variables from 0..n+1 (repeats allowed), its values from -1..d, and each
+    entry an int, a bool (for 0 and 1), a numpy int or a float.  Half the
+    draws are tuples of tuples of exact ints, the form the pass-through
+    takes, so that there only the order and the ranges decide."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    variables = draw(st.lists(st.integers(0, n + 1), max_size=4, unique=draw(st.booleans())))
+    if draw(st.booleans()):
+        variables.sort()
+    exact = draw(st.booleans())
+
+    def entry(x):
+        kind = int if exact else draw(st.sampled_from(ENTRY_TYPES))
+        return kind(x) if kind is not bool or x in (0, 1) else x
+
+    container = st.just(tuple) if exact else st.sampled_from([tuple, tuple, list])
+    pairs = [draw(container)((entry(v), entry(draw(st.integers(-1, d))))) for v in variables]
+    return n, d, draw(container)(pairs)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(raw_nogoods())
+def test_nogoods_canonicalized_as_documented(case):
+    n, d, nogood = case
+    try:
+        expected = reference_canonical(nogood, n, d)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            CspInstance(n, d, [nogood])
+        assert str(info.value) == str(exc)
+        return
+    pairs = CspInstance(n, d, [nogood]).nogoods[0].pairs
+    assert pairs == expected
+    assert type(pairs) is tuple and {type(p) for p in pairs} <= {tuple}
+    assert {type(x) for p in pairs for x in p} <= {int}
+    # a nogood given in canonical form is kept as the same object
+    canonical_form = type(nogood) is tuple and all(
+        type(p) is tuple and type(p[0]) is int and type(p[1]) is int for p in nogood
+    )
+    assert (pairs is nogood) == (canonical_form and nogood == expected)
 
 
 @st.composite
