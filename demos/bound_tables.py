@@ -9,9 +9,9 @@ import math
 
 from kcsp import (
     bound_table,
-    bound_variable_domain_dpll,
-    bound_variable_domain_ppsz,
     char_root,
+    dpll_bound_base,
+    ppsz_bound_base,
     repeat_count,
     success_lower_bound,
 )
@@ -41,9 +41,11 @@ for n, d, k in [(3, 2, 3), (6, 3, 2), (10, 2, 2), (12, 3, 2)]:
           f"per-iteration floor={success_lower_bound(n, d, k):.3e}")
 
 # With domains that grow like n^alpha (the regime hard random models
-# live in), compare the natural-log run-time exponents.
-print("\nln of run-time bound, domain size about n^alpha:")
-print("  n=50, alpha=1.0, eps=0.01, k=2:")
-print(f"    branching : {bound_variable_domain_dpll(50, 1.0, 0.01):.2f}")
-print(f"    randomized: {bound_variable_domain_ppsz(50, 1.0, 2):.2f}")
-print(f"    trivial n^(alpha n) would be {50 * 1.0 * math.log(50):.2f}")
+# live in), compare the natural-log run-time exponents n ln(base).
+n, alpha, k = 50, 1.0, 2
+d = n**alpha
+print("\nln of run-time bound, domain size n^alpha:")
+print(f"  n={n}, alpha={alpha}, k={k}:")
+print(f"    branching : {n * math.log(dpll_bound_base(d, k)):.2f}")
+print(f"    randomized: {n * math.log(ppsz_bound_base(d, k)):.2f}")
+print(f"    trivial n^(alpha n) would be {n * math.log(d):.2f}")

@@ -31,7 +31,6 @@ from .oracle import (
 from .dpll import DpllStats, solve_dpll
 from .ppsz import (
     PpszStats,
-    bound_variable_domain_ppsz,
     repeat_count,
     solve_ppsz,
     success_lower_bound,
@@ -40,7 +39,6 @@ from .analysis import (
     BoundRow,
     RootResult,
     bound_table,
-    bound_variable_domain_dpll,
     char_root,
     dpll_bound_base,
     ppsz_bound_base,
@@ -75,14 +73,12 @@ __all__ = [
     "DpllStats",
     "solve_dpll",
     "PpszStats",
-    "bound_variable_domain_ppsz",
     "repeat_count",
     "solve_ppsz",
     "success_lower_bound",
     "BoundRow",
     "RootResult",
     "bound_table",
-    "bound_variable_domain_dpll",
     "char_root",
     "dpll_bound_base",
     "ppsz_bound_base",

@@ -24,29 +24,20 @@ def _g(x: Fraction, d: int, k: int) -> Fraction:
     return x ** (k + 1) - d * x**k + (d - 1)
 
 
-def _f(x: Fraction, d: int, k: int) -> Fraction:
-    total = Fraction(0)
-    for i in range(k):
-        total += x**i
-    return x**k - (d - 1) * total
-
-
 @dataclass(frozen=True)
 class RootResult:
     """Dominant root of f, bracketed and certified in exact arithmetic.
 
-    The float sandwich fields are for display; near d = k = 10 the gap
-    between the root and its upper bound drops below float64 resolution,
-    so strict-containment checks must use the *_exact fields.
+    `lambda_` is the root as a float and `residual_g` is |g(root)|.  The
+    sandwich d - 1/d^{k-1} < root < d - (d-1)/d^k is held only as exact
+    Fractions: near d = k = 10 the gap between the root and its upper bound
+    drops below float64 resolution, so containment is checked on these.
     """
 
     d: int
     k: int
     lambda_: float
-    residual_f: float
     residual_g: float
-    lower_sandwich: float
-    upper_sandwich: float
     root_exact: Fraction
     lower_exact: Fraction
     upper_exact: Fraction
@@ -60,7 +51,7 @@ def char_root(d: int, k: int) -> RootResult:
     (k+1)*2^s and N an integer.  The loop bisects N and reads the sign of
     g(d*N/den)*den^{k+1}, an exact integer, so it visits the same iterates
     an exact rational bisection would.  The bracket, the sandwich, the
-    residuals and the final containment are checked on exact Fractions;
+    residual and the final containment are checked on exact Fractions;
     the final interval is narrow enough that |g| <= 1e-10 and the certified
     bracket cannot be crossed by the reported midpoint.
     """
@@ -106,44 +97,29 @@ def char_root(d: int, k: int) -> RootResult:
         d=d,
         k=k,
         lambda_=float(root),
-        residual_f=float(abs(_f(root, d, k))),
         residual_g=float(abs(_g(root, d, k))),
-        lower_sandwich=float(lower),
-        upper_sandwich=float(upper),
         root_exact=root,
         lower_exact=lower,
         upper_exact=upper,
     )
 
 
-def dpll_bound_base(d: int, k: int) -> float:
-    """Base of the branching solver's node bound, d - (d-1)/d^k."""
+def dpll_bound_base(d: float, k: int) -> float:
+    """Base of the branching solver's node bound, d - (d-1)/d^k.
+
+    d may be a float, such as a domain of n^alpha values: d^-k underflows
+    to 0 where a float d^k would overflow.
+    """
     if d < 2 or k < 1:
         raise ValueError("dpll_bound_base requires d >= 2 and k >= 1")
-    return d - (d - 1) / d**k
+    return d - (d - 1) * d**-k
 
 
-def ppsz_bound_base(d: int, k: int) -> float:
-    """Base of the randomized solver's time bound, d*((d-1)/d)^(1/k)."""
+def ppsz_bound_base(d: float, k: int) -> float:
+    """Base of the randomized solver's time bound, d*((d-1)/d)^(1/k); d may be a float."""
     if d < 2 or k < 1:
         raise ValueError("ppsz_bound_base requires d >= 2 and k >= 1")
     return d * ((d - 1) / d) ** (1.0 / k)
-
-
-def bound_variable_domain_dpll(n: int, alpha: float, epsilon: float = 0.01) -> float:
-    """Natural log of the branching bound when d = n^alpha.
-
-    (d - (d-1)/d^k)^n has log alpha*n*(ln n - 1) up to lower-order terms;
-    for alpha <= 1 an explicit (1+epsilon)^n slack covers them.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if alpha <= 0 or epsilon < 0:
-        raise ValueError("need alpha > 0 and epsilon >= 0")
-    bound = alpha * n * (math.log(n) - 1)
-    if alpha <= 1:
-        bound += n * math.log1p(epsilon)
-    return bound
 
 
 @dataclass(frozen=True)

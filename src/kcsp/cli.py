@@ -27,12 +27,12 @@ import sys
 import time
 
 from . import generators
-from .analysis import bound_table, bound_variable_domain_dpll
+from .analysis import bound_table, dpll_bound_base, ppsz_bound_base
 from .core import _LimitExceeded, load_instance, serialize_instance
 from .harness import corpus, estimate_iteration_success, node_growth_experiment, verify_campaign
 from .oracle import DEFAULT_CAP, _first_solution, enumerate_solutions
 from .dpll import solve_dpll
-from .ppsz import bound_variable_domain_ppsz, solve_ppsz
+from .ppsz import solve_ppsz
 from .version import __version__
 
 
@@ -191,8 +191,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     header = ["d", "k", "char_root", "dpll_bound_base", "ppsz_bound_base", "smaller"]
-    vardom = args.alpha is not None and args.n is not None
+    vardom = args.alpha is not None or args.n is not None
     if vardom:
+        # the columns are n ln(base) at the domain size n^alpha; n < 2 is
+        # refused before the power, which a negative n would make complex
+        if args.alpha is None or args.n is None:
+            raise ValueError("--alpha and --n must be given together")
+        if args.n < 2 or (size := args.n ** args.alpha) < 2:
+            raise ValueError(
+                f"need n >= 2 and n^alpha >= 2, got n = {args.n}, alpha = {args.alpha}"
+            )
         header += ["ln_dpll_bound_vardom", "ln_ppsz_bound_vardom"]
     lines = [",".join(header)]
     for row in bound_table(args.d, args.k):
@@ -205,8 +213,8 @@ def _cmd_analyze(args) -> int:
             row.smaller,
         ]
         if vardom:
-            cells.append(format(bound_variable_domain_dpll(args.n, args.alpha, args.epsilon), ".12g"))
-            cells.append(format(bound_variable_domain_ppsz(args.n, args.alpha, row.k), ".12g"))
+            cells.append(format(args.n * math.log(dpll_bound_base(size, row.k)), ".12g"))
+            cells.append(format(args.n * math.log(ppsz_bound_base(size, row.k)), ".12g"))
         lines.append(",".join(cells))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
@@ -279,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--d", type=_parse_range, required=True, help='e.g. "2..4"')
     analyze.add_argument("--k", type=_parse_range, required=True, help='e.g. "2..3"')
     analyze.add_argument("--alpha", type=_finite_float, default=None)
-    analyze.add_argument("--epsilon", type=_finite_float, default=0.01)
     analyze.add_argument("--n", type=int, default=None)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(handler="_cmd_analyze")

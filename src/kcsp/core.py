@@ -52,12 +52,16 @@ def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
 
     A tuple of (int, int) tuples, with exact int entries, variables
     strictly increasing in 1..n and values in 0..d-1, is returned as it is.
-    Anything else goes through the ordered loop: its pairs are checked in
-    the order given, each for integer entries (variable, then value: an
-    entry that `operator.index` refuses raises "entry <repr> is not an
-    integer"), then its variable in 1..n, then its value in 0..d-1, then a
-    variable named before; the first fault raises ValueError.  The entries
-    become exact ints, so numpy integers and bools are taken as integers.
+    Anything else goes through the ordered loop.  A nogood that is not
+    iterable raises "nogood <repr> is not an iterable of pairs"; otherwise
+    its pairs are checked in the order given, each for being a pair (an
+    item that does not unpack into two entries raises "pair <repr> is not
+    a (variable, value) pair"), then for integer entries (variable, then
+    value: an entry that `operator.index` refuses raises "entry <repr> is
+    not an integer"), then its variable in 1..n, then its value in 0..d-1,
+    then a variable named before; the first fault raises ValueError.  The
+    entries become exact ints, so numpy integers and bools are taken as
+    integers.
     """
     if type(pairs) is tuple:
         last = 0
@@ -70,9 +74,17 @@ def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
             last = v
         else:
             return pairs
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise ValueError(f"nogood {pairs!r} is not an iterable of pairs") from None
     canonical = []
     seen = set()
-    for v, a in pairs:
+    for pair in items:
+        try:
+            v, a = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {pair!r} is not a (variable, value) pair") from None
         v, a = _as_int(v), _as_int(a)
         if not 1 <= v <= n:
             raise ValueError(f"variable {v} out of range 1..{n}")
@@ -104,13 +116,14 @@ class CspInstance:
     """Immutable CSP instance: n variables over {0..d-1} plus a nogood list.
 
     Each nogood is given as an iterable of (variable, value) pairs.  Its
-    entries become ints and its pairs are sorted by variable; an entry that
-    is not an integer, a variable outside 1..n, a value outside 0..d-1 or a
-    variable named twice in one nogood raises ValueError.  A nogood given
-    in that form already, a tuple of (int, int) tuples sorted by variable,
-    is kept as the same object.  Repeated nogoods are dropped, keeping
-    first-occurrence order.  `nogoods` holds one record per nogood, whose
-    `pairs` is that sorted tuple (pass those `pairs` to build another
+    entries become ints and its pairs are sorted by variable; a nogood that
+    is not iterable, an item of it that is not a pair of two entries, an
+    entry that is not an integer, a variable outside 1..n, a value outside
+    0..d-1 or a variable named twice in one nogood raises ValueError.  A
+    nogood given in that form already, a tuple of (int, int) tuples sorted
+    by variable, is kept as the same object.  Repeated nogoods are dropped,
+    keeping first-occurrence order.  `nogoods` holds one record per nogood,
+    whose `pairs` is that sorted tuple (pass those `pairs` to build another
     instance from them).  Safe to share across threads.
     """
 

@@ -115,13 +115,7 @@ def corpus() -> tuple:
     return tuple(entries)
 
 
-def estimate_iteration_success(
-    instance: CspInstance,
-    trials: int,
-    seed: int,
-    assume_satisfiable: bool = False,
-    cap: int = DEFAULT_CAP,
-) -> ExperimentResult:
+def estimate_iteration_success(instance: CspInstance, trials: int, seed: int) -> ExperimentResult:
     """Monte Carlo estimate of per-iteration success probability vs the bound.
 
     Pass requires p_hat >= bound - 3*se where se is the binomial standard
@@ -129,21 +123,18 @@ def estimate_iteration_success(
     with probability under 0.2%.  Unsatisfiable input gets "not-applicable"
     (the bound only speaks to satisfiable instances).
 
-    Satisfiability is read off the exact oracle, which refuses d^n above
-    `cap` with _LimitExceeded (a ValueError); a library caller who knows the
-    instance is satisfiable may pass assume_satisfiable=True to skip the check.
+    Satisfiability is read off the exact oracle, so an instance with d^n
+    above the oracle's DEFAULT_CAP is refused with _LimitExceeded (a
+    ValueError) before any iteration runs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not _exceeds(instance.d, instance.n, cap):
-        satisfiable = bool(_solution_mask(instance, cap).any())
-    elif assume_satisfiable:
-        satisfiable = True
-    else:
+    if _exceeds(instance.d, instance.n, DEFAULT_CAP):
         raise _LimitExceeded(
-            f"d^n = {instance.d}^{instance.n} exceeds the oracle cap {cap}, "
+            f"d^n = {instance.d}^{instance.n} exceeds the oracle cap {DEFAULT_CAP}, "
             "so satisfiability cannot be checked"
         )
+    satisfiable = bool(_solution_mask(instance, DEFAULT_CAP).any())
     outcomes = iteration_successes(instance, seed, trials)
     successes = sum(outcomes)
     p_hat = successes / trials

@@ -330,17 +330,6 @@ def success_lower_bound(n: int, d: int, k: int) -> float:
     return math.exp(-(math.log(n + 1) + n * math.log(ppsz_bound_base(d, k))))
 
 
-def bound_variable_domain_ppsz(n: int, alpha: float, k: int) -> float:
-    """Natural log of the iteration bound when d = n^alpha:
-    alpha*n*ln(n) * (1 - 1/(k * n^alpha * ln n))."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if alpha <= 0 or k < 1:
-        raise ValueError("need alpha > 0 and k >= 1")
-    log_n = math.log(n)
-    return alpha * n * log_n * (1.0 - 1.0 / (k * n**alpha * log_n))
-
-
 def default_max_repeats(instance: CspInstance) -> int:
     """Repeat budget from the bound; arity-0 nogoods still count as k = 1,
     and a one-value domain needs only a single deterministic pass."""

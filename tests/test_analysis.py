@@ -6,14 +6,18 @@ import pytest
 from kcsp import (
     RootResult,
     bound_table,
-    bound_variable_domain_dpll,
     char_root,
     dpll_bound_base,
     ppsz_bound_base,
 )
-from kcsp.analysis import _f, _g
+from kcsp.analysis import _g
 
 GRID = [(d, k) for d in range(2, 11) for k in range(2, 11)]
+
+
+def _f(x: Fraction, d: int, k: int) -> Fraction:
+    """The recurrence's characteristic polynomial x^k - (d-1)(x^{k-1} + ... + 1)."""
+    return x**k - (d - 1) * sum(x**i for i in range(k))
 
 
 def reference_char_root(d: int, k: int) -> RootResult:
@@ -40,10 +44,7 @@ def reference_char_root(d: int, k: int) -> RootResult:
         d=d,
         k=k,
         lambda_=float(root),
-        residual_f=float(abs(_f(root, d, k))),
         residual_g=float(abs(_g(root, d, k))),
-        lower_sandwich=float(lower),
-        upper_sandwich=float(upper),
         root_exact=root,
         lower_exact=lower,
         upper_exact=upper,
@@ -66,7 +67,7 @@ class TestCharRoot:
     def test_residuals_tiny_on_grid(self):
         for d, k in GRID:
             result = char_root(d, k)
-            assert abs(result.residual_f) <= 1e-9, (d, k)
+            assert abs(float(_f(result.root_exact, d, k))) <= 1e-9, (d, k)
             assert abs(result.residual_g) <= 1e-9, (d, k)
 
     def test_sandwich_strict_in_exact_arithmetic(self):
@@ -79,8 +80,8 @@ class TestCharRoot:
     def test_sandwich_at_float_precision_with_margin(self):
         for d, k in GRID:
             result = char_root(d, k)
-            assert result.lower_sandwich < result.lambda_ + 1e-12
-            assert result.lambda_ < result.upper_sandwich + 1e-12
+            assert float(result.lower_exact) < result.lambda_ + 1e-12
+            assert result.lambda_ < float(result.upper_exact) + 1e-12
 
     def test_monotone_in_d_and_k(self):
         roots = {(d, k): char_root(d, k).root_exact for d, k in GRID}
@@ -138,29 +139,30 @@ class TestBoundBases:
 
 
 class TestVariableDomainBound:
+    """The bounds' logs at a domain of d = n^alpha values, n ln(base(n^alpha, k)),
+    as `kcsp analyze --alpha A --n N` prints them; d is a float here."""
+
     def test_small_alpha_one_anchor(self):
-        assert bound_variable_domain_dpll(3, 1.0, 0.0) == pytest.approx(
-            3 * (math.log(3) - 1), rel=1e-12
+        assert 3 * math.log(dpll_bound_base(3**1.0, 2)) == pytest.approx(
+            3 * math.log(25 / 9), rel=1e-12
         )
-
-    def test_alpha_above_one_ignores_epsilon(self):
-        assert bound_variable_domain_dpll(3, 2.0, 0.5) == pytest.approx(
-            6 * (math.log(3) - 1), rel=1e-12
-        )
-
-    def test_epsilon_slack_applies_at_alpha_one(self):
-        with_slack = bound_variable_domain_dpll(10, 1.0, 0.01)
-        without = bound_variable_domain_dpll(10, 1.0, 0.0)
-        assert with_slack == pytest.approx(without + 10 * math.log1p(0.01), rel=1e-12)
 
     def test_below_trivial_bound(self):
         for n, alpha in [(3, 1.0), (20, 0.5), (100, 2.0)]:
-            assert bound_variable_domain_dpll(n, alpha, 0.01) < alpha * n * math.log(n)
+            for k in (2, 3):
+                assert n * math.log(dpll_bound_base(n**alpha, k)) < alpha * n * math.log(n)
+
+    def test_large_domain_and_arity_stay_finite(self):
+        # a float d^k would overflow at d = 10^9, k = 200: d^-k underflows instead
+        assert dpll_bound_base(1e9, 200) == 1e9
+        assert 0 < ppsz_bound_base(1e9, 200) < 1e9
 
     def test_rejects_bad_parameters(self):
-        for args in [(1, 1.0, 0.0), (3, 0.0, 0.0), (3, 1.0, -0.1)]:
+        for d in (1.9, 1.0, -4.0):
             with pytest.raises(ValueError):
-                bound_variable_domain_dpll(*args)
+                dpll_bound_base(d, 2)
+            with pytest.raises(ValueError):
+                ppsz_bound_base(d, 2)
 
 
 class TestBoundTable:

@@ -4,6 +4,8 @@ up as a reviewed change to this list."""
 import functools
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import kcsp
@@ -20,8 +22,6 @@ PUBLIC = [
     "__version__",
     "avg_narrow_count",
     "bound_table",
-    "bound_variable_domain_dpll",
-    "bound_variable_domain_ppsz",
     "char_root",
     "corpus",
     "dpll_bound_base",
@@ -65,8 +65,31 @@ def test_every_name_imports():
         assert namespace[name] is getattr(kcsp, name)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public function stays only while the package, the benchmark or a demo
+    # calls it: its name must appear (whole word) in some file other than
+    # its own module and the package's __init__.py; classes are exempt
+    sources = [
+        path for folder in ("src/kcsp", "bench", "demos") for path in (ROOT / folder).rglob("*.py")
+    ]
+    texts = {path.resolve(): path.read_text(encoding="utf-8") for path in sources}
+    init = Path(kcsp.__file__).resolve()
+    for name in PUBLIC:
+        obj = getattr(kcsp, name)
+        if not inspect.isfunction(obj):
+            continue
+        own = Path(inspect.getfile(obj)).resolve()
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        callers = [path for path, text in texts.items()
+                   if path not in (own, init) and pattern.search(text)]
+        assert callers, f"{name} has no caller outside the tests"
+
+
 def load_bench_module(name: str):
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    path = ROOT / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"kcsp_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

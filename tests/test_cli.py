@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,14 @@ import pytest
 
 import kcsp.cli
 import kcsp.dpll
-from kcsp import CspInstance, enumerate_solutions, parse_instance, save_instance
+from kcsp import (
+    CspInstance,
+    dpll_bound_base,
+    enumerate_solutions,
+    parse_instance,
+    ppsz_bound_base,
+    save_instance,
+)
 from kcsp.cli import _parse_range, build_parser, cli_dispatch
 from kcsp.harness import corpus
 from kcsp.version import __version__
@@ -453,6 +461,33 @@ class TestAnalyze:
         cells = lines[1].split(",")
         assert len(cells) == 8
 
+    @pytest.mark.parametrize(
+        "d,k,n,alpha", [(4, 2, 16, 0.5), (3, 3, 9, 0.5), (10, 2, 100, 0.5), (5, 2, 5, 1.0)]
+    )
+    def test_vardom_cells_are_n_ln_of_the_row_bases(self, capsys, d, k, n, alpha):
+        # n^alpha = d: the row's own bases, raised to the n-th power, in logs
+        code, out, _ = run(
+            capsys, "analyze", "--d", str(d), "--k", str(k), "--n", str(n), "--alpha", str(alpha)
+        )
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
+        # printed to 12 significant digits: equal to the last digit printed
+        expected = [n * math.log(dpll_bound_base(d, k)), n * math.log(ppsz_bound_base(d, k))]
+        assert cells[6:] == [format(value, ".12g") for value in expected]
+        assert float(cells[6]) == pytest.approx(n * math.log(float(cells[3])), rel=1e-11)
+        assert float(cells[7]) == pytest.approx(n * math.log(float(cells[4])), rel=1e-11)
+        assert (float(cells[7]) <= float(cells[6])) == (cells[5] == "ppsz")
+
+    def test_vardom_large_domain_and_arity_stay_finite(self, capsys):
+        # n^alpha = 10^9 and k = 200: a float d^k would overflow
+        code, out, err = run(
+            capsys, "analyze", "--d", "2", "--k", "200", "--n", "1000", "--alpha", "3"
+        )
+        assert (code, err) == (0, "")
+        cells = out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in cells[6:])
+        assert cells[6] == format(1000 * math.log(1e9), ".12g")
+
     def test_written_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "analyze", "--d", "2..3", "--k", "2", "--out", str(path))
@@ -474,10 +509,15 @@ class TestAnalyze:
             (["--d", "1", "--k", "2"], "char_root requires d >= 2 and k >= 2"),
             (["--d", "2", "--k", "1"], "char_root requires d >= 2 and k >= 2"),
             (["--d", "2", "--k", "2", "--alpha", "0", "--n", "5"],
-             "need alpha > 0 and epsilon >= 0"),
-            (["--d", "2", "--k", "2", "--alpha", "1", "--n", "1"], "need n >= 2"),
+             "need n >= 2 and n^alpha >= 2, got n = 5, alpha = 0.0"),
+            (["--d", "2", "--k", "2", "--alpha", "1", "--n", "1"],
+             "need n >= 2 and n^alpha >= 2, got n = 1, alpha = 1.0"),
+            (["--d", "2", "--k", "2", "--alpha", "0.5", "--n", "-4"],
+             "need n >= 2 and n^alpha >= 2, got n = -4, alpha = 0.5"),
+            (["--d", "2", "--k", "2", "--alpha", "1"], "--alpha and --n must be given together"),
+            (["--d", "2", "--k", "2", "--n", "16"], "--alpha and --n must be given together"),
         ],
-        ids=["d-1", "k-1", "alpha-0", "n-1"],
+        ids=["d-1", "k-1", "alpha-0", "n-1", "n-negative", "alpha-alone", "n-alone"],
     )
     def test_value_out_of_range(self, capsys, tmp_path, argv, message):
         # a flag value out of range is a usage problem: one error line, exit 2, no file
@@ -567,9 +607,8 @@ class TestErrors:
             (["gen", "model-rb", "--n", "12", "--alpha", "0.8", "--p", "0.2", "--k", "2"], "--r"),
             (["gen", "model-rb", "--n", "12", "--alpha", "0.8", "--r", "3", "--k", "2"], "--p"),
             (["analyze", "--d", "2", "--k", "2", "--n", "5"], "--alpha"),
-            (["analyze", "--d", "2", "--k", "2", "--n", "5", "--alpha", "1"], "--epsilon"),
         ],
-        ids=["gen-alpha", "gen-r", "gen-p", "analyze-alpha", "analyze-epsilon"],
+        ids=["gen-alpha", "gen-r", "gen-p", "analyze-alpha"],
     )
     def test_float_flag_must_be_finite(self, capsys, tmp_path, argv, flag, value):
         # "=" keeps argparse from reading "-inf" as a flag of its own

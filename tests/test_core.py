@@ -97,6 +97,17 @@ class TestCspInstance:
         assert pair_lists(inst) == [((1, 0), (2, 1))]
         assert {type(x) for pair in inst.nogoods[0].pairs for x in pair} == {int}
 
+    def test_malformed_pairs_refused_by_name(self):
+        # unpacking would raise a bare ValueError or a TypeError: each names the fault
+        for nogoods, message in [
+            ([[(1, 0, 1)]], "pair (1, 0, 1) is not a (variable, value) pair"),
+            ([[(1,)]], "pair (1,) is not a (variable, value) pair"),
+            ([[1]], "pair 1 is not a (variable, value) pair"),
+            ([5], "nogood 5 is not an iterable of pairs"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CspInstance(2, 2, nogoods)
+
     def test_canonical_nogood_kept_as_given(self):
         # a sorted tuple of (int, int) tuples in range is the record's pairs itself
         given = ((1, 0), (3, 1))

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -90,13 +91,11 @@ class TestEstimateIterationSuccess:
     def test_rejects_zero_trials_and_uncheckable_instances(self):
         with pytest.raises(ValueError):
             estimate_iteration_success(CspInstance(2, 2), trials=0, seed=0)
-        big = CspInstance(40, 3)
-        with pytest.raises(ValueError, match=r"d\^n = 3\^40 exceeds the oracle cap 1048576"):
-            estimate_iteration_success(big, trials=10, seed=0, cap=1 << 20)
-        result = estimate_iteration_success(
-            big, trials=10, seed=0, cap=1 << 20, assume_satisfiable=True
-        )
-        assert result.verdict == "pass"  # no nogoods: every iteration succeeds
+        message = "d^n = 2^25 exceeds the oracle cap 16777216, so satisfiability cannot be checked"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_iteration_success(CspInstance(25, 2), trials=10, seed=0)
+        # d^n equal to the cap is checked
+        assert estimate_iteration_success(CspInstance(24, 2), trials=10, seed=0).verdict == "pass"
 
 
     def test_existence_precheck_allocates_only_the_mask(self):
@@ -111,11 +110,11 @@ class TestEstimateIterationSuccess:
         assert result.records == [1] * 10
         assert peak < 4 * 2**20, peak
 
-    def test_precheck_refuses_past_the_point_limit_before_allocating(self):
+    def test_refuses_past_the_oracle_cap_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="enumeration limit"):
-                estimate_iteration_success(CspInstance(30, 2), trials=1, seed=0, cap=1 << 31)
+            with pytest.raises(ValueError, match="exceeds the oracle cap"):
+                estimate_iteration_success(CspInstance(30, 2), trials=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,9 +15,9 @@ import kcsp.ppsz as ppsz
 
 from kcsp import (
     CspInstance,
-    bound_variable_domain_ppsz,
     estimate_iteration_success,
     is_satisfying,
+    ppsz_bound_base,
     repeat_count,
     solve_ppsz,
     success_lower_bound,
@@ -329,13 +329,11 @@ class TestIterationBlocks:
         inst.by_var, inst.arities  # cached on the instance, outside the trace
         tracemalloc.start()
         try:
-            result = estimate_iteration_success(
-                inst, trials=200, seed=0, cap=1 << 20, assume_satisfiable=True
-            )
+            outcomes = iteration_successes(inst, 0, 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(result.records) == 200
+        assert len(outcomes) == 200
         assert peak < 6 * 2**20, peak
 
     def test_memory_bounded_on_a_wide_domain(self):
@@ -513,19 +511,15 @@ class TestBounds:
         assert success_lower_bound(3, 3, 2) == pytest.approx(1 / (4 * 6**1.5), rel=1e-12)
 
     def test_bound_variable_domain_anchor(self):
-        value = bound_variable_domain_ppsz(2, 1.0, 2)
-        assert value == pytest.approx(2 * math.log(2) * (1 - 1 / (4 * math.log(2))), rel=1e-12)
-        assert round(value, 4) == 0.8863
+        # n ln of the base at d = n^alpha: 2 ln(2 (1/2)^(1/2)) = ln 2
+        value = 2 * math.log(ppsz_bound_base(2**1.0, 2))
+        assert value == pytest.approx(math.log(2), rel=1e-12)
 
     def test_bound_below_trivial_exponent(self):
         for n, alpha, k in [(4, 0.5, 2), (10, 1.0, 3), (50, 2.0, 2)]:
-            assert bound_variable_domain_ppsz(n, alpha, k) < alpha * n * math.log(n)
+            assert n * math.log(ppsz_bound_base(n**alpha, k)) < alpha * n * math.log(n)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            bound_variable_domain_ppsz(1, 1.0, 2)
-        with pytest.raises(ValueError):
-            bound_variable_domain_ppsz(4, 0.0, 2)
         with pytest.raises(ValueError):
             success_lower_bound(3, 1, 2)
 

@@ -16,6 +16,7 @@ import operator
 import os
 import tempfile
 import warnings
+from collections.abc import Iterable
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from kcsp import (
     serialize_instance,
     solve_dpll,
 )
-from kcsp.cli import cli_dispatch
+from kcsp.cli import _parse_range, cli_dispatch
 
 from bruteforce import brute_critical_dims, reference_dpll
 
@@ -55,11 +56,17 @@ def test_parse_inverts_serialize(instance):
 
 def reference_canonical(pairs, n, d):
     """`_canonical` as its docstring defines it, without the pass-through:
-    each pair in the order given is checked for integer entries, its
-    variable in 1..n, its value in 0..d-1 and a variable named before; then
-    the pairs are sorted by variable."""
+    the nogood must be iterable, and each item in the order given is checked
+    for being two entries, then for integer entries, its variable in 1..n,
+    its value in 0..d-1 and a variable named before; then the pairs are
+    sorted by variable."""
+    if not isinstance(pairs, Iterable):
+        raise ValueError(f"nogood {pairs!r} is not an iterable of pairs")
     seen, canonical = set(), []
-    for v, a in pairs:
+    for pair in pairs:
+        if not isinstance(pair, Iterable) or len(list(pair)) != 2:
+            raise ValueError(f"pair {pair!r} is not a (variable, value) pair")
+        v, a = pair
         for entry in (v, a):
             try:
                 operator.index(entry)
@@ -87,7 +94,9 @@ def raw_nogoods(draw):
     variables from 0..n+1 (repeats allowed), its values from -1..d, and each
     entry an int, a bool (for 0 and 1), a numpy int or a float.  Half the
     draws are tuples of tuples of exact ints, the form the pass-through
-    takes, so that there only the order and the ranges decide."""
+    takes, so that there only the order and the ranges decide; of the rest,
+    one in eight holds an item of one or three entries or a bare int, or
+    is the int 5 in place of a nogood."""
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 4))
     variables = draw(st.lists(st.integers(0, n + 1), max_size=4, unique=draw(st.booleans())))
@@ -101,6 +110,12 @@ def raw_nogoods(draw):
 
     container = st.just(tuple) if exact else st.sampled_from([tuple, tuple, list])
     pairs = [draw(container)((entry(v), entry(draw(st.integers(-1, d))))) for v in variables]
+    if not exact and draw(st.integers(0, 7)) == 0:
+        # one draw in sixteen has an item that is not a pair, or is no nogood at all
+        malformed = draw(st.sampled_from([(1,), (1, 0, 1), [1, 0, 1], 1, None]))
+        if malformed is None:
+            return n, d, 5
+        pairs.insert(draw(st.integers(0, len(pairs))), malformed)
     return n, d, draw(container)(pairs)
 
 
@@ -287,7 +302,7 @@ def _check_documented_answer(argv):
     assert not any("Traceback" in line for line in lines), lines
     if code in (0, 1):
         assert lines == []
-    return code
+    return code, out.getvalue()
 
 
 @SETTINGS
@@ -317,7 +332,7 @@ file_argv = st.one_of(
 )
 analyze_argv = _argv(
     st.just(["analyze"]), _flag("d", n_range), _flag("k", n_range),
-    _flag("alpha", float_values), _flag("epsilon", float_values), _flag("n", st.integers(-1, 12)),
+    _flag("alpha", float_values), _flag("n", st.integers(-1, 12)),
 )
 
 
@@ -349,7 +364,7 @@ def small_instances(tmp_path_factory):
 def test_solve_and_oracle_answer_any_flag_values_with_a_documented_code(
     small_instances, argv, name
 ):
-    code = _check_documented_answer(argv + [small_instances[name]])
+    code, _ = _check_documented_answer(argv + [small_instances[name]])
     if any(value is not None and int(value) < 1
            for value in (_value(argv, "cap"), _value(argv, "max-repeats"))):
         assert code == 2, argv
@@ -358,10 +373,20 @@ def test_solve_and_oracle_answer_any_flag_values_with_a_documented_code(
 @SETTINGS
 @given(analyze_argv)
 def test_analyze_answers_any_flag_values_with_a_documented_code(argv):
-    code = _check_documented_answer(argv)
-    if any(value is not None and not math.isfinite(float(value))
-           for value in (_value(argv, "alpha"), _value(argv, "epsilon"))):
+    code, out = _check_documented_answer(argv)
+    d, k, alpha, n = (_value(argv, flag) for flag in ("d", "k", "alpha", "n"))
+    if alpha is not None and not math.isfinite(float(alpha)):
         assert code == 2, argv
+    elif (alpha is None) != (n is None):
+        assert code == 2, argv
+    elif alpha is not None and (int(n) < 2 or int(n) ** float(alpha) < 2):
+        assert code == 2, argv
+    elif d is not None and k is not None and min(_parse_range(d) + _parse_range(k)) >= 2:
+        assert code == 0, argv
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")[6:]
+            assert len(cells) == (2 if alpha is not None else 0), line
+            assert all(math.isfinite(float(cell)) for cell in cells), line
 
 
 @st.composite
@@ -417,6 +442,6 @@ def test_instance_files_get_exit_2_exactly_when_the_parser_refuses_them(command,
         path = os.path.join(tmp, "instance.csp")
         with open(path, "wb") as handle:
             handle.write(data)
-        code = _check_documented_answer(command + [path])
+        code, _ = _check_documented_answer(command + [path])
     # a file the parser accepts is small here: solved or refuted, never a limit
     assert code == 2 if refused else code in (0, 1), (code, data)
