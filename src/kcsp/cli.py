@@ -197,7 +197,13 @@ def _cmd_analyze(args) -> int:
         # refused before the power, which a negative n would make complex
         if args.alpha is None or args.n is None:
             raise ValueError("--alpha and --n must be given together")
-        if args.n < 2 or (size := args.n ** args.alpha) < 2:
+        try:
+            size = args.n ** args.alpha if args.n >= 2 else 0
+        except OverflowError:
+            raise OverflowError(
+                f"n^alpha is too large for a float, got n = {args.n}, alpha = {args.alpha}"
+            ) from None
+        if size < 2:
             raise ValueError(
                 f"need n >= 2 and n^alpha >= 2, got n = {args.n}, alpha = {args.alpha}"
             )

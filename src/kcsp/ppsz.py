@@ -20,7 +20,7 @@ three, and reads the same words, so its iteration i is the block's row i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +78,7 @@ class PpszStats:
     assignment: tuple | None
     iterations_used: int
     max_repeats: int
-    seed: int
-    narrow_histogram: dict = field(default_factory=dict)
+    narrow_histogram: dict
 
 
 def _iterate(instance: CspInstance, state: NogoodState, s: int):
@@ -364,6 +363,5 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
         assignment=assignment,
         iterations_used=iteration,
         max_repeats=max_repeats,
-        seed=seed,
         narrow_histogram=histogram,
     )

@@ -1,6 +1,30 @@
+import importlib.util
+import os
 import random
+from pathlib import Path
 
 from kcsp import CspInstance, gen_uniform
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench_module(name: str):
+    """bench/<name>.py, loaded read-only by path: bench/ is no package."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"kcsp_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's references, written from the definitions without calling
+# into kcsp: the tests check against the same copy.
+checks = load_bench_module("checks")
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports kcsp from src/."""
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def random_instance(rng: random.Random, max_n: int = 5, max_d: int = 3) -> CspInstance:

@@ -3,12 +3,13 @@ up as a reviewed change to this list."""
 
 import functools
 import importlib
-import importlib.util
 import inspect
 import re
 from pathlib import Path
 
 import kcsp
+
+from conftest import ROOT, checks, load_bench_module
 
 PUBLIC = [
     "BoundRow",
@@ -65,9 +66,6 @@ def test_every_name_imports():
         assert namespace[name] is getattr(kcsp, name)
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a public function stays only while the package, the benchmark or a demo
     # calls it: its name must appear (whole word) in some file other than
@@ -88,14 +86,6 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         assert callers, f"{name} has no caller outside the tests"
 
 
-def load_bench_module(name: str):
-    path = ROOT / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"kcsp_bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_targets_resolve():
     # bench/tracing.py wraps these names by (module, attribute) and patches
     # CspInstance.by_var's cached_property; a rename would silently untrace them
@@ -111,7 +101,7 @@ def test_tracer_targets_resolve():
 def test_bench_reads_canonical_pairs():
     # bench/checks.py reads every instance through plain(), which takes
     # ng.pairs of each item of instance.nogoods
-    plain = load_bench_module("checks").plain
+    plain = checks.plain
     instance = dict(kcsp.corpus())["k3-d3"]
     assert plain(instance) == (4, 3, tuple(ng.pairs for ng in instance.nogoods))
     assert plain(instance).nogoods[1] == ((1, 1), (2, 2), (4, 0))

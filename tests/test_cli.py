@@ -526,6 +526,24 @@ class TestAnalyze:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "n,alpha",
+        [("2", "5000"), ("1" + "0" * 400, "0.5")],
+        ids=["power-overflows", "n-past-float"],
+    )
+    def test_vardom_power_past_float(self, capsys, tmp_path, n, alpha):
+        # n^alpha is past a float's range: a runtime limit, exit 3, one line naming it
+        path = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "analyze", "--d", "2", "--k", "2", "--n", n, "--alpha", alpha,
+            "--out", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: n^alpha is too large for a float, got n = {n}, alpha = {float(alpha)}\n"
+        )
+        assert not path.exists()
+
     def test_failed_certification_is_a_runtime_error(self, capsys, monkeypatch):
         # a g that never changes sign fails char_root's bracket check: exit 3, not 2
         monkeypatch.setattr("kcsp.analysis._g", lambda x, d, k: Fraction(1))

@@ -20,8 +20,8 @@ from kcsp import oracle
 from kcsp.generators import gen_coloring, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
 
-from bruteforce import brute_avg_narrow, brute_critical_dims, brute_is_satisfying, brute_solutions
-from conftest import random_instance
+from bruteforce import brute_critical_dims, brute_solutions
+from conftest import checks, random_instance
 
 
 def triangle(d=3):
@@ -131,13 +131,8 @@ class TestEnumerateSolutions:
             enumerate_solutions(CspInstance(10, 2), cap=512)
 
     def test_matches_reference_on_corpus(self):
-        for name, inst in corpus():
-            assert enumerate_solutions(inst) == two_pass_solutions(inst), name
-            if inst.d**inst.n > 1 << 16:
-                continue
-            assert enumerate_solutions(inst).solutions == tuple(
-                brute_solutions(inst)
-            ), name
+        for _, inst in corpus():
+            assert_matches_reference(inst)
 
     def test_matches_reference_on_fuzz(self):
         rng = random.Random(555)
@@ -178,7 +173,12 @@ class TestEnumerateSolutions:
         # the second nogood fixes every other variable: 140 mask axes if
         # axes of length 1 were kept
         for nogood in ([(64, 0), (65, 0)], [(v, 0) for v in range(1, 141, 2)]):
-            assert_matches_reference(CspInstance(140, 1, [nogood]))
+            inst = CspInstance(140, 1, [nogood])
+            sols = assert_same_as_two_pass(inst)
+            plain = checks.plain(inst)
+            candidates = itertools.product(range(1), repeat=140)
+            expected = [X for X in candidates if checks.satisfies(plain, X)]
+            assert sols.solutions == tuple(expected) == ()
 
 
 class TestFusedPass:
@@ -189,7 +189,9 @@ class TestFusedPass:
         # digits up to 299 do not fit in a byte
         inst = CspInstance(2, 300, [[(1, 256)], [(2, 299)], [(1, 3), (2, 257)], [(1, 299), (2, 0)]])
         sols = assert_same_as_two_pass(inst)
-        expected = brute_solutions(inst)
+        plain = checks.plain(inst)
+        candidates = itertools.product(range(300), repeat=2)
+        expected = [X for X in candidates if checks.satisfies(plain, X)]
         assert sols.solutions == tuple(expected) and len(expected) == 299 * 299 - 2
         for row in (0, 1, 2 * 299 + 256, len(expected) - 1):
             X = expected[row]
@@ -201,8 +203,9 @@ class TestFusedPass:
         allowed = [{0, 7, 255, 299}, {0, 256, 299}, {1, 255, 256, 257, 299}]
         inst = restricted(3, 300, allowed, [[(1, 299), (3, 256)], [(2, 256), (3, 1)]])
         sols = assert_same_as_two_pass(inst, cap=300**3)
+        plain = checks.plain(inst)
         candidates = itertools.product(*map(sorted, allowed))
-        expected = [X for X in candidates if brute_is_satisfying(inst, X)]
+        expected = [X for X in candidates if checks.satisfies(plain, X)]
         assert sols.solutions == tuple(expected) and len(expected) == 4 * 3 * 5 - 3 - 4
         for X, dims in zip(expected, sols.critical_dims):
             assert set(dims) == brute_critical_dims(X, expected, 3, 300)
@@ -300,7 +303,7 @@ class TestCriticalPoints:
             assert [set(dims) for dims in sols.critical_dims] == reference
             # unsorted input keeps its order
             degrees = isolation_degrees(points, n, d)
-            assert degrees == [len(brute_critical_dims(X, points, n, d)) for X in points]
+            assert degrees == checks.isolation_by_definition(points, n, d)
 
     def test_solution_set_routes_agree_on_corpus(self):
         for name, inst in corpus():
@@ -407,7 +410,7 @@ class TestAvgNarrowCount:
                 continue
             X = rng.choice(solutions)
             result = avg_narrow_count(inst, X)
-            assert result.average == brute_avg_narrow(inst, X)
+            assert result.average == checks.narrow_average(checks.plain(inst), X)
             assert result.j == len(brute_critical_dims(X, solutions, inst.n, inst.d))
             checked += 1
 

@@ -1,12 +1,10 @@
 import math
-import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +26,12 @@ from kcsp.ppsz import _iterate, _splitmix64, derive_seed, iteration_successes
 
 from bruteforce import (
     CounterState,
-    brute_is_satisfying,
     brute_narrowed_domain,
     brute_solutions,
     exact_iteration_success,
     matches,
 )
-from conftest import random_instance
+from conftest import checks, random_instance, src_env
 
 
 def pair_forcing():
@@ -205,7 +202,8 @@ def assert_replays_reference(monkeypatch, instances, count=30):
         reference = [reference_block_iteration(inst, seed, i)[0] for i in range(1, count + 1)]
         assert outcomes == [int(point is not None) for point in reference], number
         assert completed == [point for point in reference if point is not None], number
-        assert all(brute_is_satisfying(inst, point) for point in completed)
+        plain = checks.plain(inst)
+        assert all(checks.satisfies(plain, point) for point in completed)
         runs.append(outcomes)
     return runs
 
@@ -276,8 +274,7 @@ class TestIterationBlocks:
                 continue
             p = exact_iteration_success(inst)
             result = estimate_iteration_success(inst, trials=trials, seed=31)
-            se = math.sqrt(p * (1 - p) / trials)
-            assert abs(result.stats["p_hat"] - p) <= 5 * se + 1e-12, name
+            assert checks.probability_close(result.stats["p_hat"], p, trials), name
             checked += 1
         assert checked == 17
 
@@ -313,7 +310,7 @@ class TestIterationBlocks:
             "print('numpy.random' in sys.modules)\n"
         )
         run = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
         )
         assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
@@ -351,11 +348,6 @@ class TestIterationBlocks:
         assert peak < 6 * 2**20, peak
 
 
-def _src_env():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": src}
-
-
 class TestSafetyChecks:
     def test_both_paths_refuse_under_optimize_flag(self):
         # python -O strips assert statements; with each check patched to
@@ -378,7 +370,7 @@ class TestSafetyChecks:
             "    print('refused')\n"
         )
         run = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=_src_env()
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env()
         )
         assert (run.returncode, run.stdout) == (0, "refused\nrefused\n"), run.stderr
 

@@ -34,7 +34,8 @@ from kcsp import (
 )
 from kcsp.cli import _parse_range, cli_dispatch
 
-from bruteforce import brute_critical_dims, reference_dpll
+from bruteforce import reference_dpll
+from conftest import checks
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -208,8 +209,7 @@ def point_lists(draw):
 @given(point_lists(), st.booleans())
 def test_isolation_degrees_match_the_definition(case, as_iterator):
     points, n, d = case
-    S = set(points)
-    expected = [len(brute_critical_dims(X, S, n, d)) for X in points]
+    expected = checks.isolation_by_definition(points, n, d)
     assert isolation_degrees(iter(points) if as_iterator else points, n, d) == expected
 
 
@@ -228,7 +228,7 @@ def test_isolation_degrees_on_numpy_rows_past_int64(n, d, dtype):
             rows[-1][i] = a
     rows = np.array(rows, dtype=dtype)
     points = [tuple(map(int, row)) for row in rows]
-    expected = [len(brute_critical_dims(X, points, n, d)) for X in points]
+    expected = checks.isolation_by_definition(points, n, d)
     assert isolation_degrees(points, n, d) == expected
     with warnings.catch_warnings():
         warnings.simplefilter("error")
