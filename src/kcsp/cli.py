@@ -219,8 +219,13 @@ def _cmd_analyze(args) -> int:
             row.smaller,
         ]
         if vardom:
-            cells.append(format(args.n * math.log(dpll_bound_base(size, row.k)), ".12g"))
-            cells.append(format(args.n * math.log(ppsz_bound_base(size, row.k)), ".12g"))
+            bases = (dpll_bound_base(size, row.k), ppsz_bound_base(size, row.k))
+            logs = [args.n * math.log(base) for base in bases]
+            if not all(map(math.isfinite, logs)):
+                raise OverflowError(
+                    f"n ln(base) is too large for a float, got n = {args.n}, alpha = {args.alpha}"
+                )
+            cells += [format(x, ".12g") for x in logs]
         lines.append(",".join(cells))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0

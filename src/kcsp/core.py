@@ -9,10 +9,11 @@ satisfies the instance iff no nogood is fully matched.
 `_canonical` checks and sorts one nogood's pairs for the constructor and
 the parser alike, so both refuse the same faults with the same messages.
 A nogood that is already canonical, a tuple of (int, int) tuples sorted by
-variable, passes through as the same object, so the generators share pair
-tuples among their nogoods.  The parser canonicalizes each line once and
-hands the constructor a `_CanonicalNogoods` list, whose pairs it does not
-check again.
+variable, passes through as the same object.  The parser canonicalizes
+each line once, and the generators build nogoods that are canonical by
+construction (all but `gen_coloring`, whose vertices come from the
+caller); both hand the constructor a `_CanonicalNogoods` list, whose pairs
+it does not check again.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def _as_int(entry) -> int:
 
 
 class _CanonicalNogoods(list):
-    """Nogoods that `_canonical` already made for the instance's n and d,
-    as the parser collects them: `CspInstance` only drops their repeats."""
+    """Nogoods already in `_canonical`'s form for the instance's n and d:
+    the parser's, each line made by `_canonical`, and those of the
+    generators that build them in that form.  `CspInstance` only drops
+    their repeats."""
 
 
 class CspInstance:

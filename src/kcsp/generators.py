@@ -3,6 +3,14 @@
 Each generator counts its nogoods from its arguments and refuses more
 than _MAX_NOGOODS with _LimitExceeded (a ValueError) before building
 anything.
+
+gen_uniform and gen_model_rb draw from random.Random(seed) through
+_draws, kcsp's own reading of getrandbits: it gives the same stream, and
+so the same instances, as drawing each scope with rng.sample and each
+value with rng.randrange, without their per-call overhead.  Every
+generator but gen_coloring, whose vertices come from the caller, builds
+its nogoods sorted and in range and hands them to CspInstance as a
+_CanonicalNogoods list, which is not checked again.
 """
 
 from __future__ import annotations
@@ -11,12 +19,13 @@ import math
 import random
 from itertools import chain
 
-from .core import CspInstance, _LimitExceeded
+from .core import CspInstance, _CanonicalNogoods, _LimitExceeded
 
-# Peak memory per nogood built (tracemalloc, CPython 3.11): 165-200 bytes
+# Peak memory per nogood built (tracemalloc, CPython 3.11): 150-195 bytes
 # for gen_latin, gen_nqueens and gen_coloring, whose nogoods share their
-# pairs; 310-390 for gen_uniform and gen_model_rb at k = 2 or 3, and about
-# 510 at k = 5.  So the limit holds a build to roughly 0.5 GB.
+# pairs; 360-560 for gen_uniform at k = 2 or 3 and 640-790 at k = 5 (the
+# high ends where few pairs repeat), and 280-470 for gen_model_rb at
+# k = 2 to 5.  So the limit holds a build to roughly 0.8 GB.
 _MAX_NOGOODS = 1 << 20
 
 
@@ -28,6 +37,68 @@ def _check_count(count: int) -> None:
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+def _draws(seed: int, n: int, k: int, d: int):
+    """The stream of random.Random(seed), read as (scope, values): scope()
+    returns what rng.sample(range(1, n + 1), k) would and values() what
+    [rng.randrange(d) for _ in range(k)] would, in whatever interleaving
+    they are called.
+
+    Both read getrandbits as CPython's sample and _randbelow do (as of
+    3.11; tests/test_generators.py holds them to it).  A value below b is
+    drawn on b.bit_length() bits, and redrawn while it is b or more.
+    sample keeps a pool of the values not yet picked, the i-th pick below
+    n - i, when n is at most setsize (21, plus 4^ceil(log4(3k)) when
+    k > 5); otherwise every pick is below n, and a value picked before is
+    redrawn.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    range_k = range(k)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        population = list(range(1, n + 1))
+        bounds = [(size, size.bit_length()) for size in range(n, n - k, -1)]
+
+        def scope() -> list[int]:
+            pool = population.copy()
+            picked = []
+            for size, bits in bounds:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                picked.append(pool[j])
+                pool[j] = pool[size - 1]
+            return picked
+
+    else:
+        n_bits = n.bit_length()
+
+        def scope() -> list[int]:
+            picked = []
+            seen = set()
+            for _ in range_k:
+                j = getrandbits(n_bits)
+                while j >= n or j in seen:
+                    j = getrandbits(n_bits)
+                seen.add(j)
+                picked.append(j + 1)
+            return picked
+
+    d_bits = d.bit_length()
+
+    def values() -> list[int]:
+        drawn = []
+        for _ in range_k:
+            a = getrandbits(d_bits)
+            while a >= d:
+                a = getrandbits(d_bits)
+            drawn.append(a)
+        return drawn
+
+    return scope, values
 
 
 def gen_uniform(n: int, d: int, k: int, m: int, seed: int) -> CspInstance:
@@ -47,12 +118,11 @@ def gen_uniform(n: int, d: int, k: int, m: int, seed: int) -> CspInstance:
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} distinct nogoods over (n={n}, k={k}, d={d})")
     _check_count(m)
-    rng = random.Random(seed)
-    nogoods: list[tuple[tuple[int, int], ...]] = []
+    scope, values = _draws(seed, n, k, d)
+    nogoods = _CanonicalNogoods()
     seen: set[tuple[tuple[int, int], ...]] = set()
     while len(nogoods) < m:
-        variables = rng.sample(range(1, n + 1), k)
-        pairs = tuple(sorted((v, rng.randrange(d)) for v in variables))
+        pairs = tuple(sorted(zip(scope(), values())))
         if pairs not in seen:
             seen.add(pairs)
             nogoods.append(pairs)
@@ -79,16 +149,16 @@ def gen_model_rb(n: int, alpha: float, r: float, p: float, k: int, seed: int) ->
         raise ValueError(f"round(p * d^k) = {nogoods_per_constraint} leaves constraints empty")
     m_constraints = _round_half_up(r * n * math.log(n))
     _check_count(m_constraints * nogoods_per_constraint)
-    rng = random.Random(seed)
-    nogoods: list[tuple[tuple[int, int], ...]] = []
+    draw_scope, values = _draws(seed, n, k, d)
+    nogoods = _CanonicalNogoods()
     for _ in range(m_constraints):
-        scope = sorted(rng.sample(range(1, n + 1), k))
+        scope = sorted(draw_scope())
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < nogoods_per_constraint:
-            values = tuple(rng.randrange(d) for _ in scope)
-            if values not in chosen:
-                chosen.add(values)
-                nogoods.append(tuple(zip(scope, values)))
+            drawn = tuple(values())
+            if drawn not in chosen:
+                chosen.add(drawn)
+                nogoods.append(tuple(zip(scope, drawn)))
     return CspInstance(n, d, nogoods)
 
 
@@ -127,7 +197,7 @@ def gen_latin(N: int) -> CspInstance:
     # pairs[v][c] is the pair (v, c), built once and shared by every nogood naming it
     pairs = [None] + [[(v, c) for c in range(N)] for v in range(1, N * N + 1)]
     cell = lambda i, j: pairs[(i - 1) * N + j]
-    nogoods = []
+    nogoods = _CanonicalNogoods()
     for i in range(1, N + 1):
         for j1 in range(1, N + 1):
             for j2 in range(j1 + 1, N + 1):
@@ -153,7 +223,7 @@ def gen_nqueens(N: int) -> CspInstance:
         attacks.append(tuple(zip(*cols)))
     # pairs[v][a] is the pair (v, a), built once and shared by every nogood naming it
     pairs = [None] + [[(v, a) for a in range(N)] for v in range(1, N + 1)]
-    nogoods = []
+    nogoods = _CanonicalNogoods()
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             upper, lower = attacks[j - i]

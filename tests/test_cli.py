@@ -544,6 +544,19 @@ class TestAnalyze:
         )
         assert not path.exists()
 
+    def test_vardom_log_past_float(self, capsys, tmp_path):
+        # n^alpha fits a float but n ln(base) does not: exit 3, one line naming
+        # it, where the cells used to read inf
+        n = "9" * 308
+        path = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "analyze", "--d", "2", "--k", "2", "--n", n, "--alpha", "1",
+            "--out", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: n ln(base) is too large for a float, got n = {n}, alpha = 1.0\n"
+        assert not path.exists()
+
     def test_failed_certification_is_a_runtime_error(self, capsys, monkeypatch):
         # a g that never changes sign fails char_root's bracket check: exit 3, not 2
         monkeypatch.setattr("kcsp.analysis._g", lambda x, d, k: Fraction(1))

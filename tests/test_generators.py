@@ -1,10 +1,12 @@
 import math
+import random
+import re
 import tracemalloc
 
 import pytest
 
-from kcsp import generators
-from kcsp.core import _LimitExceeded
+from kcsp import core, generators
+from kcsp.core import ParseError, _LimitExceeded, parse_instance
 from kcsp import (
     CspInstance,
     gen_coloring,
@@ -219,3 +221,113 @@ def test_nogood_limit_counts_the_list_built(monkeypatch, name, kwargs):
     with pytest.raises(_LimitExceeded, match=f"^{count} nogoods exceed the limit of {count - 1}$"):
         generate(**kwargs)
     assert built == [count, count]
+
+
+def reference_uniform(n: int, d: int, k: int, m: int, seed: int) -> CspInstance:
+    """gen_uniform drawn with rng.sample and rng.randrange, as it once was."""
+    rng = random.Random(seed)
+    nogoods = []
+    seen = set()
+    while len(nogoods) < m:
+        variables = rng.sample(range(1, n + 1), k)
+        pairs = tuple(sorted((v, rng.randrange(d)) for v in variables))
+        if pairs not in seen:
+            seen.add(pairs)
+            nogoods.append(pairs)
+    return CspInstance(n, d, nogoods)
+
+
+def reference_model_rb(n: int, alpha: float, r: float, p: float, k: int, seed: int) -> CspInstance:
+    """gen_model_rb drawn with rng.sample and rng.randrange, as it once was."""
+    d = math.floor(n**alpha + 0.5)
+    per_constraint = math.floor(p * d**k + 0.5)
+    rng = random.Random(seed)
+    nogoods = []
+    for _ in range(math.floor(r * n * math.log(n) + 0.5)):
+        scope = sorted(rng.sample(range(1, n + 1), k))
+        chosen = set()
+        while len(chosen) < per_constraint:
+            values = tuple(rng.randrange(d) for _ in scope)
+            if values not in chosen:
+                chosen.add(values)
+                nogoods.append(tuple(zip(scope, values)))
+    return CspInstance(n, d, nogoods)
+
+
+class TestStreams:
+    """The generators' own draw on getrandbits gives the stream of
+    random.sample and randrange, so every seeded instance stays the same:
+    sample's pool method up to n = 21 and its set method past it (past
+    21 + 64 once k > 5), and value draws for d a power of two or not.  A
+    Python release that changes how sample or randrange read the
+    generator fails here."""
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in (6, 20, 21, 22, 23, 40) for k in (1, 2, 3, 6, 7) if k <= n]
+    )
+    def test_uniform_matches_sample_and_randrange(self, n, k):
+        for d in (2, 3, 4, 8, 300):
+            m = min(math.comb(n, k) * d**k, 60)
+            for seed in (0, 20261020):
+                assert gen_uniform(n, d, k, m, seed) == reference_uniform(n, d, k, m, seed)
+
+    def test_uniform_set_method_past_a_grown_setsize(self):
+        # k = 6 grows setsize to 85: n = 85 keeps the pool, n = 86 the set
+        for n in (85, 86):
+            assert gen_uniform(n, 3, 6, 40, seed=n) == reference_uniform(n, 3, 6, 40, n)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (9, 0.8, 0.6, 0.25, 2, 1),  # d = 6, pool scopes, 108 nogoods drawn, 106 kept
+            (21, 0.5, 0.4, 0.2, 3, 2),  # d = 5, the last pool n
+            (30, 0.5, 0.5, 0.3, 3, 3),  # d = 5, set scopes
+            (25, 1.0, 0.1, 0.02, 2, 4),  # d = 25
+            (16, 0.25, 0.3, 0.5, 6, 5),  # d = 2, k past 5
+            (90, 0.16, 0.1, 0.1, 6, 6),  # d = 2, set scopes past a grown setsize
+        ],
+    )
+    def test_model_rb_matches_sample_and_randrange(self, args):
+        assert gen_model_rb(*args) == reference_model_rb(*args)
+
+
+CANONICAL_BUILDS = [
+    ("gen_uniform", dict(n=23, d=3, k=3, m=200, seed=1)),
+    ("gen_model_rb", dict(n=9, alpha=0.8, r=0.6, p=0.25, k=2, seed=1)),  # repeats dropped
+    ("gen_latin", dict(N=5)),
+    ("gen_nqueens", dict(N=9)),
+]
+
+
+@pytest.mark.parametrize("name, kwargs", CANONICAL_BUILDS, ids=[name for name, _ in CANONICAL_BUILDS])
+def test_canonical_generators_skip_the_recheck(monkeypatch, name, kwargs):
+    # their nogoods are sorted and in range as built: the instance takes them
+    # without calling _canonical (the streams above show it still drops repeats)
+    generate = getattr(generators, name)
+    expected = generate(**kwargs)
+
+    def refuse(*args):
+        raise AssertionError(f"_canonical called on {args[0]!r}")
+
+    monkeypatch.setattr(core, "_canonical", refuse)
+    assert generate(**kwargs) == expected
+
+
+def test_other_inputs_still_checked(monkeypatch):
+    # gen_coloring's nogoods, plain nogood lists and parsed lines still go
+    # through _canonical, and it refuses with its messages
+    calls = []
+    canonical = core._canonical
+    monkeypatch.setattr(core, "_canonical", lambda *args: calls.append(args) or canonical(*args))
+    gen_coloring([(1, 2)], 2, 3)
+    assert len(calls) == 3
+    for build, message in [
+        (lambda: gen_coloring([(1.0, 2)], 2, 3), "entry 1.0 is not an integer"),
+        (lambda: CspInstance(2, 2, [((1, 0), (3, 1))]), "variable 3 out of range 1..2"),
+        (lambda: CspInstance(2, 2, [[(2, 0), (2, 1)]]), "variable 2 repeated within nogood"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    with pytest.raises(ParseError, match="^line 3: variable 3 out of range 1..2$"):
+        parse_instance("p csp 2 2\nn 1 1 0\nn 2 3 1 1 0\n")
+    assert len(calls) == 3 + 3 + 2
