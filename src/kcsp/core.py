@@ -163,65 +163,57 @@ class CspInstance:
         return f"CspInstance(n={self.n}, d={self.d}, nogoods={len(self.nogoods)})"
 
     @cached_property
-    def by_var(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each variable (index 1..n), the (nogood index, value) pairs naming it."""
-        occ: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
-        for j, ng in enumerate(self.nogoods):
-            for v, a in ng.pairs:
-                occ[v].append((j, a))
-        return tuple(tuple(entry) for entry in occ)
+    def by_var(self) -> tuple[list[int], list[dict[int, int]], list[int]]:
+        """NogoodState's tables, built once per instance in one pass over
+        the nogoods, bit j standing for nogood j: per variable v, the mask
+        of the nogoods naming v and a dict from each value a named with v
+        to the mask of the nogoods naming (v, a); and the initial levels,
+        level c holding the nogoods of arity c (c = 0..max(k_max, 1)).
 
-    @cached_property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(len(ng.pairs) for ng in self.nogoods)
-
-    @cached_property
-    def _masks(self) -> tuple[list[int], list[dict[int, int]], list[int]]:
-        """NogoodState's tables, built once per instance, bit j standing for
-        nogood j: per variable v, the mask of the nogoods naming v and a
-        dict from each value a named with v to the mask of the nogoods
-        naming (v, a); and the initial levels, level c holding the nogoods
-        of arity c (c = 0..max(k_max, 1)).
-
-        Only values that occur get a mask, so no table is n x d, and a
-        variable named with one value shares that value's mask as its own.
-        A mask takes about (its highest nogood index) / 8 bytes: all of
-        them together 10.6 MiB on gen_nqueens(40), 23.5 MiB on
-        gen_latin(16) and 9.0 MiB on a 10,000-variable unary chain
-        (tracemalloc, `by_var` built first), against 19.1 MiB and 16.3 MiB
-        for the first two instances and their `by_var` (8.3 and 7.1 MiB
-        the instances alone, whose nogoods share their pair tuples).
+        Only values that occur get a mask, so no table is n x d; a variable
+        no nogood names shares one empty dict (read-only), and a variable
+        named with one value shares that value's mask as its own.  From
+        4,096 nogoods on, each mask's bits are set in a bytearray, since an
+        OR copies the whole int and would make the build quadratic.  A mask
+        takes about (its highest nogood index) / 8 bytes: all of them 10.0
+        MiB on gen_nqueens(40), 23.0 MiB on gen_latin(16) and 8.9 MiB on a
+        10,000-variable unary chain (tracemalloc, CPython 3.11), against 8.4
+        and 7.3 MiB for the first two instances alone.
         """
+        nogoods = self.nogoods
+        named: dict[int, dict[int, int]] = {}  # per variable named, its masks by value
+        levels = [0] * (max(self.k_max, 1) + 1)
+        if len(nogoods) < 4096:
+            for j, (pairs,) in enumerate(nogoods):
+                bit = 1 << j
+                levels[len(pairs)] |= bit
+                for v, a in pairs:
+                    masks = named.setdefault(v, {})
+                    masks[a] = masks.get(a, 0) | bit
+        else:
+            by_pair: dict[tuple[int, int], list[int]] = {}
+            by_arity: list[list[int]] = [[] for _ in levels]
+            for j, (pairs,) in enumerate(nogoods):
+                by_arity[len(pairs)].append(j)
+                for pair in pairs:
+                    by_pair.setdefault(pair, []).append(j)
+            for (v, a), indices in by_pair.items():
+                named.setdefault(v, {})[a] = _bits(indices)
+            levels = [_bits(indices) if indices else 0 for indices in by_arity]
         touch = [0] * (self.n + 1)
-        match: list[dict[int, int]] = [{}] * (self.n + 1)  # read-only where empty
-        for v, entries in enumerate(self.by_var):
-            if entries:
-                match[v] = masks = _masks_by_key(entries, entries[-1][0])
-                touch[v] = reduce(or_, masks.values())  # one value: that mask itself
-        by_arity = _masks_by_key(enumerate(self.arities), len(self.nogoods) - 1)
-        return touch, match, [by_arity.get(c, 0) for c in range(max(self.k_max, 1) + 1)]
+        match: list[dict[int, int]] = [{}] * (self.n + 1)
+        for v, masks in named.items():
+            match[v] = masks
+            touch[v] = reduce(or_, masks.values())  # one value: that mask itself
+        return touch, match, levels
 
 
-def _masks_by_key(entries, top: int) -> dict[int, int]:
-    """For (j, key) entries in ascending j, up to j = top, each key's mask
-    of its j's.  Below bit 4,096 the bits are ORed in; wider masks are set
-    in a bytearray first, since each OR copies the whole int and would make
-    the build quadratic in the nogood count."""
-    masks: dict[int, int] = {}
-    if top < 4096:
-        get = masks.get
-        for j, key in entries:
-            masks[key] = get(key, 0) | 1 << j
-        return masks
-    groups: dict[int, list[int]] = {}
-    for j, key in entries:
-        groups.setdefault(key, []).append(j)
-    for key, indices in groups.items():
-        buf = bytearray(indices[-1] // 8 + 1)
-        for j in indices:
-            buf[j >> 3] |= 1 << (j & 7)
-        masks[key] = int.from_bytes(buf, "little")
-    return masks
+def _bits(indices: list[int]) -> int:
+    """The int with bits `indices` (ascending) set, through a bytearray."""
+    buf = bytearray(indices[-1] // 8 + 1)
+    for j in indices:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
 
 
 def is_satisfying(instance: CspInstance, values) -> bool:
@@ -253,7 +245,7 @@ class NogoodState:
 
     `assign(v, a)` moves the live nogoods naming (v, a) down one level and
     drops those naming v with another value, from two masks cached on the
-    instance (`CspInstance._masks`): k_max + 1 big-int operations of m bits
+    instance (`CspInstance.by_var`): k_max + 1 big-int operations of m bits
     each, however many nogoods name v.  It replaces the levels list and
     never changes one in place, so a caller that keeps `levels` before
     assigning some variables can undo them all with
@@ -265,7 +257,7 @@ class NogoodState:
     """
 
     def __init__(self, instance: CspInstance):
-        self._touch, self._match, self._initial = instance._masks
+        self._touch, self._match, self._initial = instance.by_var
         self.values: list[int | None] = [None] * (instance.n + 1)
         self.levels = self._initial
 

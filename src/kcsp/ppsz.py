@@ -115,7 +115,7 @@ def _iterate(instance: CspInstance, state: NogoodState, s: int):
 
 
 class _BlockTables(NamedTuple):
-    """`NogoodState`'s masks (`CspInstance._masks`) as numpy arrays for
+    """`NogoodState`'s masks (`CspInstance.by_var`) as numpy arrays for
     `_run_block`, each mask as W = ceil(m/64) uint64 words, nogood j at bit
     j % 64 of word j // 64.
 
@@ -144,7 +144,7 @@ def _words(masks, width: int) -> np.ndarray:
 def _block_tables(instance: CspInstance) -> _BlockTables:
     """The tables `_run_block` reads, built once per `iteration_successes` call."""
     n, d, m = instance.n, instance.d, len(instance.nogoods)
-    _, match, initial = instance._masks
+    _, match, initial = instance.by_var
     width = max(1, -(-m // 64))
     columns = max(1, max(map(len, match)))
     vals = np.full((columns, n + 1), d, dtype=np.intp)
@@ -202,8 +202,8 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
     """
     n, d = instance.n, instance.d
     rows = words.shape[1]
-    if 0 in instance.arities:
-        return np.zeros(rows, dtype=bool)  # an arity-0 nogood empties every domain
+    if instance.by_var[2][0]:  # initial level 0: an arity-0 nogood empties every domain
+        return np.zeros(rows, dtype=bool)
     row = np.arange(rows)
     order = np.tile(np.arange(1, n + 1)[:, None], rows)
     # each row's swap partner as an index into the flattened order, so

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestCspInstance:
     def test_pairs_sorted_by_variable(self):
         inst = CspInstance(3, 3, [[(3, 1), (1, 0), (2, 2)]])
         assert pair_lists(inst) == [((1, 0), (2, 2), (3, 1))]
-        assert inst.arities == (3,)
+        assert inst.by_var[2] == [0, 0, 0, 1]  # the one nogood is at level 3
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError, match="variable 1 repeated within nogood"):
@@ -72,7 +73,7 @@ class TestCspInstance:
     def test_empty_nogood(self):
         inst = CspInstance(2, 2, [[]])
         assert pair_lists(inst) == [()]
-        assert (inst.arities, inst.k_max) == ((0,), 0)
+        assert (inst.by_var[2], inst.k_max) == ([1, 0], 0)
 
     def test_numpy_entries_become_python_ints(self):
         # the pairs feed big-int masks and JSON payloads: no numpy scalar may survive
@@ -159,10 +160,23 @@ class TestCspInstance:
         with pytest.raises(_LimitExceeded, match="1048577 variables exceed the limit of 1048576"):
             CspInstance((1 << 20) + 1, 2)
 
+    def test_tables_of_a_sparse_instance_stay_small(self):
+        # 2^20 variables, one of them named: two (n + 1)-entry lists, no
+        # per-variable container for the others
+        inst = CspInstance(1 << 20, 2, [[(1 << 20, 0)]])
+        tracemalloc.start()
+        try:
+            touch, match, levels = inst.by_var
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (touch[-1], match[-1], levels) == (1, {0: 1}, [0, 1])
+        assert peak < 24 * 2**20, peak
+
     def test_kernel_tables_name_only_occurring_values(self):
         # a huge domain costs nothing: only the (v, a) pairs that occur get a mask
         inst = CspInstance(2, 10**9, [[(1, 999_999_999), (2, 7)]])
-        touch, match, levels = inst._masks
+        touch, match, levels = inst.by_var
         assert touch == [0, 1, 1]
         assert match[1] == {999_999_999: 1} and match[2] == {7: 1}
         assert levels == [0, 0, 1]
@@ -172,10 +186,11 @@ class TestCspInstance:
 
     def test_variable_named_with_one_value_shares_its_mask(self):
         # a unary chain's `touch` masks are its `match` masks, not copies
-        # (past bit 256 no cached small int can hide a copy)
-        n = 400
-        touch, match, _ = CspInstance(n, 2, [[(v, 1)] for v in range(1, n + 1)])._masks
-        assert all(touch[v] is match[v][1] for v in range(1, n + 1))
+        # (past bit 256 no cached small int can hide a copy), on both sides
+        # of the 4,096-nogood switch to bytearray-built masks
+        for n in (400, 5000):
+            touch, match, _ = CspInstance(n, 2, [[(v, 1)] for v in range(1, n + 1)]).by_var
+            assert all(touch[v] is match[v][1] for v in range(1, n + 1))
 
     def test_equality_and_hash(self):
         a = CspInstance(2, 2, [[(1, 0)]])
@@ -320,21 +335,23 @@ class TestNogoodState:
             assert initial[1] == defined_levels(inst, {})
 
     def test_wide_masks_match_their_definition(self):
-        # past bit 4,096 the masks are built through a bytearray, not by ORs
-        inst = gen_uniform(12, 10, 2, 5000, seed=4107)
-        touch, match, levels = inst._masks
-        for v in range(1, inst.n + 1):
-            named = [(j, a) for j, ng in enumerate(inst.nogoods) for u, a in ng.pairs if u == v]
-            assert touch[v] == sum(1 << j for j, _ in named)
-            assert match[v] == {a: sum(1 << j for j, b in named if b == a) for _, a in named}
-        assert levels == defined_levels(inst, {})
-        rng = random.Random(4108)
-        state = NogoodState(inst)
-        assigned = {}
-        for y in rng.sample(range(1, inst.n + 1), inst.n):
-            assigned[y] = rng.randrange(inst.d)
-            state.assign(y, assigned[y])
-            assert state.levels == defined_levels(inst, assigned)
+        # from 4,096 nogoods on the masks are built through a bytearray, not by ORs
+        for m in (4095, 4096, 5000):
+            inst = gen_uniform(12, 10, 2, m, seed=4107)
+            assert len(inst.nogoods) == m
+            touch, match, levels = inst.by_var
+            for v in range(1, inst.n + 1):
+                named = [(j, a) for j, ng in enumerate(inst.nogoods) for u, a in ng.pairs if u == v]
+                assert touch[v] == sum(1 << j for j, _ in named)
+                assert match[v] == {a: sum(1 << j for j, b in named if b == a) for _, a in named}
+            assert levels == defined_levels(inst, {})
+            rng = random.Random(4108)
+            state = NogoodState(inst)
+            assigned = {}
+            for y in rng.sample(range(1, inst.n + 1), inst.n):
+                assigned[y] = rng.randrange(inst.d)
+                state.assign(y, assigned[y])
+                assert state.levels == defined_levels(inst, assigned)
 
     def test_assign_leaves_the_lists_it_replaced_unchanged(self):
         # what makes a kept levels list a valid undo point

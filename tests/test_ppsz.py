@@ -85,7 +85,7 @@ class TestRunIteration:
         # and keeps no levels list past the next one
         n = 20_000
         inst = CspInstance(n, 2, [[(v, 0)] for v in range(1, n + 1)])
-        inst._masks  # cached on the instance, outside the trace
+        inst.by_var  # cached on the instance, outside the trace
         tracemalloc.start()
         try:
             stats = solve_ppsz(inst, max_repeats=1)
@@ -215,7 +215,7 @@ class TestIterationBlocks:
         for inst, outcomes in zip(instances, assert_replays_reference(monkeypatch, instances)):
             kinds.add("sat" if any(outcomes) else "no success")
             kinds.add("abort" if not all(outcomes) else "all complete")
-            if 0 in inst.arities:
+            if inst.by_var[2][0]:
                 kinds.add("arity 0")
             if inst.d == 1:
                 kinds.add("d = 1")
@@ -323,7 +323,6 @@ class TestIterationBlocks:
             pairs = ((u, rng.randrange(1, 3)), (v, rng.randrange(3)), (w, rng.randrange(3)))
             nogoods.add(tuple(sorted(pairs)))
         inst = CspInstance(40, 3, nogoods)
-        inst.by_var, inst.arities  # cached on the instance, outside the trace
         tracemalloc.start()
         try:
             outcomes = iteration_successes(inst, 0, 200)
@@ -337,7 +336,6 @@ class TestIterationBlocks:
         # d = 2^13: no block array has a column per value (1,024 rows of
         # d + 1 entries each would take over 100 MiB)
         inst = CspInstance(1, 1 << 13, [[(1, 0)]])
-        inst.by_var, inst.arities  # cached on the instance, outside the trace
         tracemalloc.start()
         try:
             result = estimate_iteration_success(inst, trials=1024, seed=0)
