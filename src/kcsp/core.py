@@ -247,24 +247,17 @@ class NogoodState:
     drops those naming v with another value, from two masks cached on the
     instance (`CspInstance.by_var`): k_max + 1 big-int operations of m bits
     each, however many nogoods name v.  It replaces the levels list and
-    never changes one in place, so a caller that keeps `levels` before
-    assigning some variables can undo them all with
-    `restore(levels, variables)`, in any order (setting `levels` back and
-    those `values` to None by hand does the same).  The state keeps no
-    undo trail: a caller that backtracks keeps the lists it goes back to.
+    never changes one in place.  So there is one undo rule, and the state
+    keeps no trail: a caller that kept `levels` before assigning some
+    variables undoes them all by putting that list back and setting those
+    `values` to None, in any order.  A new state is the empty assignment.
     `select`, `completing` and `forbidden` read the levels without
     changing them.  Single-owner and mutable.
     """
 
     def __init__(self, instance: CspInstance):
-        self._touch, self._match, self._initial = instance.by_var
+        self._touch, self._match, self.levels = instance.by_var
         self.values: list[int | None] = [None] * (instance.n + 1)
-        self.levels = self._initial
-
-    def reset(self) -> None:
-        """Back to the empty assignment."""
-        self.values[:] = [None] * len(self.values)
-        self.levels = self._initial
 
     @property
     def matched(self) -> bool:
@@ -285,14 +278,6 @@ class NogoodState:
             low = old[-1]
             new.append(low ^ (low & touch))
             self.levels = new
-
-    def restore(self, levels: list[int], variables) -> None:
-        """Put back `levels`, read before `variables` were assigned, and
-        set those variables' values back to None."""
-        self.levels = levels
-        values = self.values
-        for var in variables:
-            values[var] = None
 
     def select(self) -> int:
         """Index of the live nogood with fewest unassigned pairs, at least

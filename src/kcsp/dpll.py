@@ -87,7 +87,9 @@ def _children(state: NogoodState, pairs: tuple, d: int):
         pinned.append(u)
     if run:
         yield -run
-    state.restore(entry, pinned)
+    state.levels = entry
+    for u in pinned:
+        values[u] = None
 
 
 def solve_dpll(instance: CspInstance) -> DpllStats:

@@ -141,10 +141,18 @@ def gen_model_rb(n: int, alpha: float, r: float, p: float, k: int, seed: int) ->
         raise ValueError("need alpha > 0, r > 0, 0 < p < 1, k >= 2")
     if n < k:
         raise ValueError(f"need n >= k, got n={n} k={k}")
-    d = _round_half_up(n**alpha)
+    try:
+        d = _round_half_up(n**alpha)
+    except OverflowError:
+        raise OverflowError(
+            f"n^alpha is too large for a float, got n = {n}, alpha = {alpha}"
+        ) from None
     if d < 2:
         raise ValueError(f"domain size round(n^alpha) = {d} is below 2")
-    nogoods_per_constraint = _round_half_up(p * d**k)
+    try:
+        nogoods_per_constraint = _round_half_up(p * d**k)
+    except OverflowError:
+        raise _LimitExceeded(f"p * d^k nogoods exceed the limit of {_MAX_NOGOODS}") from None
     if nogoods_per_constraint < 1:
         raise ValueError(f"round(p * d^k) = {nogoods_per_constraint} leaves constraints empty")
     m_constraints = _round_half_up(r * n * math.log(n))

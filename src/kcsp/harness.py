@@ -174,7 +174,9 @@ def node_growth_experiment(
     """Fit ln(median UNSAT node count) against n and compare the slope to
     ln(char_root(d, k)) + 0.05.  Each n in n_values gets instances_per_n
     instances gen_uniform(n, d, k, round(m_per_n * n)), each on its own
-    seed derived from (seed, n, index)."""
+    seed derived from (seed, n, index).  k < 2, with no char_root, is refused first."""
+    if k < 2:
+        raise ValueError(f"need k >= 2 for char_root(d, k), got {k}")
     n_values = list(n_values)
     if not n_values or instances_per_n < 1:
         raise ValueError("need at least one n value and one instance per n")

@@ -12,9 +12,9 @@ Iteration i reads 2n counter-based splitmix64 words from
 Both ways of running iterations keep `NogoodState`'s levels, the bitsets
 of the live nogoods by their count of unassigned pairs.
 `iteration_successes` runs many iterations as one numpy block, each row
-holding its levels as 64-bit words; `solve_ppsz` runs them one at a time
-on a `NogoodState` in plain Python, since it usually stops after one to
-three, and reads the same words, so its iteration i is the block's row i.
+holding its levels as 64-bit words; `solve_ppsz` runs them one at a time,
+each on a new `NogoodState`, since it usually stops after one to three,
+and reads the same words, so its iteration i is the block's row i.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ class PpszStats:
     narrow_histogram: dict
 
 
-def _iterate(instance: CspInstance, state: NogoodState, s: int):
-    """One pass on the stream of s = derive_seed(seed, i), read as
-    `_run_block` reads row i; returns (assignment or None, number of
+def _iterate(instance: CspInstance, s: int):
+    """One pass, from a new state, on the stream of s = derive_seed(seed, i),
+    read as `_run_block` reads row i; returns (assignment or None, number of
     narrowed variables)."""
     n, d = instance.n, instance.d
-    state.reset()
+    state = NogoodState(instance)
     if state.matched:
         return None, 1  # an arity-0 nogood empties every domain
     words = [_splitmix64(s + t * _GOLDEN) for t in range(2 * n)]
@@ -349,10 +349,9 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
         max_repeats = default_max_repeats(instance)
     if max_repeats < 1:
         raise ValueError("max_repeats must be at least 1")
-    state = NogoodState(instance)
     histogram: dict[int, int] = {}
     for iteration in range(1, max_repeats + 1):
-        assignment, narrow = _iterate(instance, state, derive_seed(seed, iteration))
+        assignment, narrow = _iterate(instance, derive_seed(seed, iteration))
         histogram[narrow] = histogram.get(narrow, 0) + 1
         if assignment is not None:
             if not is_satisfying(instance, assignment):

@@ -129,15 +129,10 @@ class CounterState:
         for j, pairs in enumerate(_pair_lists(instance)):
             for v, a in pairs:
                 self.by_var[v].append((j, a))
-        self._arities = [len(pairs) for pairs in _pair_lists(instance)]
+        self.left = [len(pairs) for pairs in _pair_lists(instance)]
+        self.bad = [0] * len(self.left)
+        self.matched = self.left.count(0)
         self.values = [None] * (instance.n + 1)
-        self.reset()
-
-    def reset(self):
-        self.values[:] = [None] * len(self.values)
-        self.left = list(self._arities)
-        self.bad = [0] * len(self._arities)
-        self.matched = self._arities.count(0)
 
     def assign(self, var, value):
         self.values[var] = value

@@ -183,17 +183,30 @@ class TestGen:
             assert (code, err) == (2, f"error: gen {family} requires {flags}\n")
 
     @pytest.mark.parametrize(
-        "family, size, count",
-        [("nqueens", "200", 9_273_400), ("latin", "33", 1_149_984)],
+        "argv, message",
+        [
+            (["nqueens", "--size", "200"], "9273400 nogoods exceed the limit of 1048576"),
+            (["latin", "--size", "33"], "1149984 nogoods exceed the limit of 1048576"),
+            # the domain size n^alpha, or p * d^k, is past a float's range
+            (
+                ["model-rb", "--n", "12", "--alpha", "300", "--r", "3", "--p", "0.2", "--k", "2"],
+                "n^alpha is too large for a float, got n = 12, alpha = 300.0",
+            ),
+            (
+                ["model-rb", "--n", "12", "--alpha", "250", "--r", "3", "--p", "0.2", "--k", "2"],
+                "p * d^k nogoods exceed the limit of 1048576",
+            ),
+        ],
+        ids=["nqueens-200-9273400", "latin-33-1149984", "model-rb-alpha-300", "model-rb-alpha-250"],
     )
-    def test_past_the_nogood_limit(self, capsys, monkeypatch, family, size, count):
+    def test_past_the_nogood_limit(self, capsys, monkeypatch, argv, message):
         # refused from the arguments alone: no instance is built
         def build(*_):
             raise AssertionError("CspInstance called")
 
         monkeypatch.setattr("kcsp.generators.CspInstance", build)
-        code, out, err = run(capsys, "gen", family, "--size", size)
-        assert (code, out, err) == (3, "", f"error: {count} nogoods exceed the limit of 1048576\n")
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_latin_32_is_within_the_nogood_limit(self, capsys, monkeypatch):
         # the 1,015,808 nogoods are listed and handed on; a stub builds the instance
@@ -607,11 +620,12 @@ class TestBench:
         [
             (["growth", "--d", "1"], "need d >= 2, got 1"),
             (["growth", "--k", "9", "--n", "3..4"], "need n >= k >= 1, got n=3 k=9"),
+            (["growth", "--k", "1"], "need k >= 2 for char_root(d, k), got 1"),
             (["growth", "--per-n", "0"], "need at least one n value and one instance per n"),
             (["growth", "--m-per-n", "-1"], "need m >= 0, got -8"),
             (["prob", "--trials", "0"], "trials must be at least 1"),
         ],
-        ids=["d-1", "k-past-n", "per-n-0", "m-per-n-negative", "trials-0"],
+        ids=["d-1", "k-past-n", "k-1", "per-n-0", "m-per-n-negative", "trials-0"],
     )
     def test_value_out_of_range(self, capsys, tmp_path, argv, message):
         # the experiment's own range check refuses the flag: one error line, exit 2, no file

@@ -221,16 +221,17 @@ class TestNogoodStatus:
         assert (state.levels, state.matched) == ([1, 0, 0], True)
 
     def test_arity_zero_always_matched(self):
-        state = NogoodState(CspInstance(2, 2, [[], [(1, 0)]]))
+        inst = CspInstance(2, 2, [[], [(1, 0)]])
+        state = NogoodState(inst)
         assert (state.levels, state.matched) == ([0b01, 0b10], True)
         before = state.levels
         state.assign(1, 0)
         assert state.levels == [0b11, 0]
-        state.restore(before, [1])
+        state.levels, state.values[1] = before, None
         assert state.levels == [0b01, 0b10] and state.values == [None, None, None]
         state.assign(1, 1)
         assert state.levels == [0b01, 0]
-        state.reset()
+        state = NogoodState(inst)
         assert (state.levels, state.matched) == ([0b01, 0b10], True)
 
     def test_invariant_under_assignment_insertion_order(self):
@@ -246,9 +247,9 @@ class TestNogoodStatus:
 
 def random_walks(seed: int):
     """200 random instances, each with a walk that assigns variables in any
-    order and restores the levels read before one of its assignments,
-    undoing that one and every later one; yields (instance, state,
-    assigned) after every step."""
+    order and puts back the levels read before one of its assignments,
+    unassigning that variable and every later one in a random order;
+    yields (instance, state, assigned) after every step."""
     rng = random.Random(seed)
     for _ in range(200):
         inst = random_instance(rng)
@@ -260,8 +261,9 @@ def random_walks(seed: int):
                 back = rng.randrange(len(saved))
                 undone = list(assigned)[back:]
                 rng.shuffle(undone)
-                state.restore(saved[back], undone)
+                state.levels = saved[back]
                 for y in undone:
+                    state.values[y] = None
                     del assigned[y]
                 del saved[back:]
             else:
@@ -318,19 +320,23 @@ class TestNogoodState:
                 levels = state.levels
                 for value in range(inst.d):
                     state.assign(y, value)
-                    state.restore(levels, [y])
+                    state.levels, state.values[y] = levels, None
                     assert snapshot(state) == before
                 state.assign(y, rng.randrange(inst.d))
 
     def test_reset_restores_initial_state(self):
+        # back to the empty assignment by hand, and through a new state,
+        # which the assignments must not have changed
         rng = random.Random(4106)
         for _ in range(100):
             inst = random_instance(rng)
             state = NogoodState(inst)
-            initial = snapshot(state)
+            initial, levels = snapshot(state), state.levels
             for y in range(1, inst.n + 1):
                 state.assign(y, rng.randrange(inst.d))
-            state.reset()
+            assert snapshot(NogoodState(inst)) == initial
+            state.levels = levels
+            state.values[1:] = [None] * inst.n
             assert snapshot(state) == initial
             assert initial[1] == defined_levels(inst, {})
 
@@ -471,7 +477,7 @@ class TestPartialAssignment:
         state.assign(2, 1)
         assert tuple(state.values[1:]) == (0, 1)
         assert is_satisfying(inst, state.values[1:])
-        state.restore(levels, [2])
+        state.levels, state.values[2] = levels, None
         state.assign(2, 0)
         assert not is_satisfying(inst, state.values[1:])
 

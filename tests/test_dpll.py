@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -28,6 +29,15 @@ def pigeonhole(pigeons: int, holes: int) -> CspInstance:
         for a in range(holes)
     ]
     return CspInstance(pigeons, holes, nogoods)
+
+
+def chain_plus_core(n: int, d: int, k: int) -> CspInstance:
+    """The chain nogoods ((i, 0), ..., (i+k-1, 0)) for i = 1..n-k, in that
+    order, then all d^k nogoods on the last k variables: UNSAT, and the
+    solver takes exactly T(n) nodes on it."""
+    chain = [[(i + j, 0) for j in range(k)] for i in range(1, n - k + 1)]
+    core = [list(zip(range(n - k + 1, n + 1), values)) for values in product(range(d), repeat=k)]
+    return CspInstance(n, d, chain + core)
 
 
 def fuzz_instances(count: int = 300) -> list[CspInstance]:
@@ -159,6 +169,13 @@ class TestNodeCounts:
         inst = gen_uniform(3, 2, 2, 12, seed=7)
         assert solve_dpll(inst).status == "UNSAT"
         assert solve_dpll(inst).nodes <= checks.node_ceiling(3, 2, 2)
+
+    @pytest.mark.parametrize("d,k,n_max", [(2, 2, 20), (3, 2, 11), (4, 2, 8), (2, 3, 17), (3, 3, 9)])
+    def test_recurrence_attained_on_chain_plus_core(self, d, k, n_max):
+        # the bound T(n) is tight for this solver, not only an upper bound
+        for n in range(k, n_max + 1):
+            stats = solve_dpll(chain_plus_core(n, d, k))
+            assert (stats.status, stats.nodes) == ("UNSAT", checks.node_ceiling(n, d, k)), n
 
     def test_recurrence_bound_on_fuzz(self):
         rng = random.Random(322)

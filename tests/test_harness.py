@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import kcsp.harness as harness
+
 from kcsp import (
     CspInstance,
     corpus,
@@ -136,6 +138,14 @@ class TestNodeGrowthExperiment:
     def test_all_sat_family_inconclusive(self):
         result = node_growth_experiment(2, 2, 0.0, range(8, 11), 3, seed=31)
         assert result.verdict == "inconclusive"
+
+    def test_k_below_2_refused_before_any_instance(self, monkeypatch):
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(harness, "gen_uniform", no_instances)
+        with pytest.raises(ValueError, match="need k >= 2"):
+            node_growth_experiment(2, 1, 1.5, [8], 1, seed=0)
 
 
 class TestVerifyCampaign:

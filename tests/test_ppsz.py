@@ -20,7 +20,6 @@ from kcsp import (
     solve_ppsz,
     success_lower_bound,
 )
-from kcsp.core import NogoodState
 from kcsp.harness import corpus
 from kcsp.ppsz import _iterate, _splitmix64, derive_seed, iteration_successes
 
@@ -40,7 +39,7 @@ def pair_forcing():
 
 def run_iteration(instance, seed, index=1):
     """Engine iteration `index` of `seed`: (assignment or None, narrow count)."""
-    return _iterate(instance, NogoodState(instance), derive_seed(seed, index))
+    return _iterate(instance, derive_seed(seed, index))
 
 
 class TestRunIteration:
@@ -61,7 +60,7 @@ class TestRunIteration:
         monkeypatch.setattr(ppsz, "_splitmix64", lambda x: words.append(x) or splitmix64(x))
         nogood_lists = [[[]], [[(1, 0)], []]]
         for inst in (CspInstance(3, 2, nogoods) for nogoods in nogood_lists):
-            assert _iterate(inst, NogoodState(inst), 0) == (None, 1)
+            assert _iterate(inst, 0) == (None, 1)
             assert words == []
             stats = solve_ppsz(inst, max_repeats=5, seed=0)
             assert stats.status == "FAILURE" and stats.narrow_histogram == {1: 5}
