@@ -32,7 +32,21 @@ _MAX_NOGOODS = 1 << 20
 def _check_count(count: int) -> None:
     """Refuse, before anything is built, an instance of more than _MAX_NOGOODS nogoods."""
     if count > _MAX_NOGOODS:
-        raise _LimitExceeded(f"{count} nogoods exceed the limit of {_MAX_NOGOODS}")
+        raise _LimitExceeded(f"{_short(count)} nogoods exceed the limit of {_MAX_NOGOODS}")
+
+
+def _short(count: int) -> str:
+    """count in full below 10^15, else as "about 1.23e+45", rounded half up
+    in integers, so that no int overflows a float."""
+    if count < 10**15:
+        return str(count)
+    exponent = (count.bit_length() - 1) * 30102 // 100000  # at most floor(log10(count))
+    while 10 ** (exponent + 1) <= count:
+        exponent += 1
+    digits = (count // 10 ** (exponent - 3) + 5) // 10  # three significant digits
+    if digits == 1000:
+        digits, exponent = 100, exponent + 1
+    return f"about {digits // 100}.{digits % 100:02d}e+{exponent}"
 
 
 def _round_half_up(x: float) -> int:

@@ -9,6 +9,10 @@ probability bound makes overall failure unlikely on satisfiable input.
 
 Iteration i reads 2n counter-based splitmix64 words from
 `derive_seed(seed, i)`, so its outcome depends on (seed, i) alone.
+`_iterate` reads them from `_stream`, which computes them 16 at a time,
+each word in its own 128-bit lane of one Python int, so splitmix64's
+three mixing rounds run once per 16 words; word t is still
+`_splitmix64(s + t * golden)`, so the stream is unchanged.
 Both ways of running iterations keep `NogoodState`'s levels, the bitsets
 of the live nogoods by their count of unassigned pairs.
 `iteration_successes` runs many iterations as one numpy block, each row
@@ -19,7 +23,9 @@ and reads the same words, so its iteration i is the block's row i.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +40,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # would pass _BLOCK_BYTES (see `_block_rows`); outcomes depend on neither.
 _BLOCK_ROWS = 2048
 _BLOCK_BYTES = 1 << 21
+# `_stream`'s packed form: word t of a chunk of _LANES sits in bits
+# 128t..128t+63 of one int, lane t starting at (s + (t+1) * golden) mod 2^64.
+# The upper 64 bits of a lane take the carries, the products' high halves
+# and the bits shifted in from the next lane; clearing them with _LANE_MASK
+# before each shift and each multiply keeps every 64-bit product in its lane.
+_LANES = 16
+_LANE_ONES = sum(1 << (128 * t) for t in range(_LANES))
+_LANE_MASK = _MASK64 * _LANE_ONES
+_LANE_STEPS = sum((((t + 1) * _GOLDEN) & _MASK64) << (128 * t) for t in range(_LANES))
+_CHUNK_STEP = (_LANES * _GOLDEN) & _MASK64
+_UNPACK_LANES = struct.Struct("<" + "Q8x" * _LANES).unpack
 
 
 def _splitmix64(x: int) -> int:
@@ -55,9 +72,32 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _stream(s: int, count: int) -> list[int]:
+    """Words 0..count-1 of the splitmix64 stream from s, word t being
+    _splitmix64(s + t * golden), mixed _LANES at a time in one int."""
+    s &= _MASK64
+    words: list[int] = []
+    while len(words) < count:
+        x = (s * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
+        x ^= x >> 30
+        x = ((x & _LANE_MASK) * 0xBF58476D1CE4E5B9) & _LANE_MASK
+        x ^= x >> 27
+        x = ((x & _LANE_MASK) * 0x94D049BB133111EB) & _LANE_MASK
+        x ^= x >> 31
+        words += _UNPACK_LANES(x.to_bytes(16 * _LANES, "little"))
+        s = (s + _CHUNK_STEP) & _MASK64
+    del words[count:]
+    return words
+
+
+def _seed(mixed: int, index: int) -> int:
+    """derive_seed(master, index), given mixed = _splitmix64(master & _MASK64)."""
+    return _splitmix64(mixed ^ _splitmix64(index & _MASK64))
+
+
 def derive_seed(master: int, index: int) -> int:
     """Stable 64-bit per-iteration seed; changing either input scrambles it."""
-    return _splitmix64(_splitmix64(master & _MASK64) ^ _splitmix64(index & _MASK64))
+    return _seed(_splitmix64(master & _MASK64), index)
 
 
 def _stream_words(seed: int, first: int, rows: int, count: int) -> np.ndarray:
@@ -89,7 +129,7 @@ def _iterate(instance: CspInstance, s: int):
     state = NogoodState(instance)
     if state.matched:
         return None, 1  # an arity-0 nogood empties every domain
-    words = [_splitmix64(s + t * _GOLDEN) for t in range(2 * n)]
+    words = _stream(s, 2 * n)
     order = list(range(1, n + 1))
     for t in range(n - 1, 0, -1):
         j = words[t] % (t + 1)
@@ -329,12 +369,18 @@ def success_lower_bound(n: int, d: int, k: int) -> float:
     return math.exp(-(math.log(n + 1) + n * math.log(ppsz_bound_base(d, k))))
 
 
+# repeat_count by (n, d, k), once per process; an OverflowError is not
+# stored, so it is raised again on every call
+_repeat_budget = functools.cache(repeat_count)
+
+
 def default_max_repeats(instance: CspInstance) -> int:
     """Repeat budget from the bound; arity-0 nogoods still count as k = 1,
-    and a one-value domain needs only a single deterministic pass."""
+    and a one-value domain needs only a single deterministic pass.  The
+    budget is computed once per (n, d, k) in a process."""
     if instance.d < 2:
         return 1
-    return repeat_count(instance.n, instance.d, max(instance.k_max, 1))
+    return _repeat_budget(instance.n, instance.d, max(instance.k_max, 1))
 
 
 def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int = 0) -> PpszStats:
@@ -343,15 +389,18 @@ def solve_ppsz(instance: CspInstance, max_repeats: int | None = None, seed: int 
     One-sided: SAT answers are always correct (checked before returning);
     FAILURE may be wrong with probability at most ~exp(-n) at the default
     budget.  Iteration i reads the words that `iteration_successes` reads
-    for it, so it succeeds exactly when that function's entry i is 1.
+    for it, so it succeeds exactly when that function's entry i is 1.  The
+    default budget is computed once per (n, d, k) in a process, and the
+    seed is mixed once per call.
     """
     if max_repeats is None:
         max_repeats = default_max_repeats(instance)
     if max_repeats < 1:
         raise ValueError("max_repeats must be at least 1")
+    mixed = _splitmix64(seed & _MASK64)
     histogram: dict[int, int] = {}
     for iteration in range(1, max_repeats + 1):
-        assignment, narrow = _iterate(instance, derive_seed(seed, iteration))
+        assignment, narrow = _iterate(instance, _seed(mixed, iteration))
         histogram[narrow] = histogram.get(narrow, 0) + 1
         if assignment is not None:
             if not is_satisfying(instance, assignment):

@@ -196,8 +196,19 @@ class TestGen:
                 ["model-rb", "--n", "12", "--alpha", "250", "--r", "3", "--p", "0.2", "--k", "2"],
                 "p * d^k nogoods exceed the limit of 1048576",
             ),
+            # p * d^k fits a float, but the count has 218 digits
+            (
+                ["model-rb", "--n", "12", "--alpha", "100", "--r", "3", "--p", "0.2", "--k", "2"],
+                "about 1.22e+217 nogoods exceed the limit of 1048576",
+            ),
         ],
-        ids=["nqueens-200-9273400", "latin-33-1149984", "model-rb-alpha-300", "model-rb-alpha-250"],
+        ids=[
+            "nqueens-200-9273400",
+            "latin-33-1149984",
+            "model-rb-alpha-300",
+            "model-rb-alpha-250",
+            "model-rb-alpha-100",
+        ],
     )
     def test_past_the_nogood_limit(self, capsys, monkeypatch, argv, message):
         # refused from the arguments alone: no instance is built

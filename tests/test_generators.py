@@ -223,6 +223,23 @@ def test_nogood_limit_counts_the_list_built(monkeypatch, name, kwargs):
     assert built == [count, count]
 
 
+@pytest.mark.parametrize(
+    "count, short",
+    [
+        (10**15 - 1, "999999999999999"),
+        (10**15, "about 1.00e+15"),
+        (1_234_999_999_999_999, "about 1.23e+15"),
+        (1_235 * 10**12, "about 1.24e+15"),
+        (9_995 * 10**20, "about 1.00e+24"),
+        (10**400 - 1, "about 1.00e+400"),
+        (2**5000, "about 1.41e+1505"),
+    ],
+)
+def test_long_counts_print_short(count, short):
+    # rounded half up to three digits in integers: 10^400 and 2^5000 overflow a float
+    assert generators._short(count) == short
+
+
 def reference_uniform(n: int, d: int, k: int, m: int, seed: int) -> CspInstance:
     """gen_uniform drawn with rng.sample and rng.randrange, as it once was."""
     rng = random.Random(seed)

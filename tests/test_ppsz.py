@@ -55,16 +55,16 @@ class TestRunIteration:
 
     def test_arity_zero_always_aborts(self, monkeypatch):
         # aborts before reading any word, with one narrowed variable
-        words = []
-        splitmix64 = ppsz._splitmix64
-        monkeypatch.setattr(ppsz, "_splitmix64", lambda x: words.append(x) or splitmix64(x))
+        streams = []
+        stream = ppsz._stream
+        monkeypatch.setattr(ppsz, "_stream", lambda s, count: streams.append(s) or stream(s, count))
         nogood_lists = [[[]], [[(1, 0)], []]]
         for inst in (CspInstance(3, 2, nogoods) for nogoods in nogood_lists):
             assert _iterate(inst, 0) == (None, 1)
-            assert words == []
+            assert streams == []
             stats = solve_ppsz(inst, max_repeats=5, seed=0)
             assert stats.status == "FAILURE" and stats.narrow_histogram == {1: 5}
-            words.clear()
+            streams.clear()
 
     def test_huge_domain_is_never_listed(self):
         # a narrowed variable picks its value without a list of all d values
@@ -465,6 +465,18 @@ class TestSolvePpsz:
         assert runs() == bitset
         assert {status for status, *_ in bitset} == {"SAT", "FAILURE"}
 
+    def test_iterations_read_the_derived_seeds(self, monkeypatch):
+        # the master seed is mixed once per call, to the same per-iteration seeds
+        inst = dict(corpus())["queens-3"]
+        seen = []
+        iterate = ppsz._iterate
+        monkeypatch.setattr(ppsz, "_iterate", lambda inst, s: seen.append(s) or iterate(inst, s))
+        for seed in (0, 1, 2**64 - 1, 2**64 + 5, 987654321):
+            seen.clear()
+            stats = solve_ppsz(inst, max_repeats=40, seed=seed)
+            assert stats.status == "FAILURE" and stats.iterations_used == 40
+            assert seen == [derive_seed(seed, i) for i in range(1, 41)]
+
 
 class TestRepeatCount:
     @pytest.mark.parametrize(
@@ -473,6 +485,9 @@ class TestRepeatCount:
     )
     def test_exact_anchors(self, n, d, k, expected):
         assert repeat_count(n, d, k) == expected
+        # the default budget reads the same value, cached by (n, d, k)
+        inst = CspInstance(n, d, [[(v, 0) for v in range(1, k + 1)]])
+        assert [ppsz.default_max_repeats(inst) for _ in range(2)] == [expected, expected]
 
     def test_matches_float_formula_when_not_integral(self):
         for n, d, k in [(5, 2, 2), (7, 3, 2), (4, 4, 3), (9, 2, 3)]:
@@ -490,6 +505,13 @@ class TestRepeatCount:
     def test_overflow_reports_escape_hatch(self):
         with pytest.raises(OverflowError, match="max_repeats"):
             repeat_count(200, 4, 2)
+        # the cache keeps no exception: the default budget raises on every call
+        inst = CspInstance(200, 4, [[(1, 0), (2, 0)]])
+        for _ in range(3):
+            with pytest.raises(OverflowError, match="max_repeats"):
+                ppsz.default_max_repeats(inst)
+            with pytest.raises(OverflowError, match="max_repeats"):
+                solve_ppsz(inst, seed=0)
 
 
 class TestBounds:
@@ -517,6 +539,17 @@ class TestSeedDerivation:
     def test_splitmix_known_vector(self):
         # first output of the splitmix64 stream from state 0
         assert _splitmix64(0) == 0xE220A8397B1DCDAF
+
+    def test_packed_stream_is_the_word_list(self):
+        # 16 words per packed int: counts 0-70 cross the chunk edges 15/16/17,
+        # 31/32/33 and 47/48/49; the s values include the lane additions'
+        # wrap past 2^64
+        rng = random.Random(810)
+        starts = [0, 1, 2**64 - 1, 2**64 - GOLDEN] + [rng.getrandbits(64) for _ in range(6)]
+        for s in starts:
+            for count in [*range(71), 2000]:
+                expected = [_splitmix64(s + t * GOLDEN) for t in range(count)]
+                assert ppsz._stream(s, count) == expected, (s, count)
 
     def test_derived_seeds_distinct_and_stable(self):
         seeds = {derive_seed(0, i) for i in range(1000)}
