@@ -53,11 +53,13 @@ def _children(state: NogoodState, pairs: tuple, d: int):
     is assigned, to be searched before the walk resumes, and -r for r
     blocked children at the end of the walk.  After a searched child it
     puts back the levels list read before it and unassigns it; once
-    exhausted, it has undone its pins as well.  A pair whose variable is
-    assigned when the walk reaches it is skipped; every child has undone
-    its own assignments by then, so that reads the node's own.
+    exhausted, it has unassigned its pins as well, and leaves the levels to
+    the parent's walk, which puts back its own list at once (at the root
+    the search ends).  A pair whose variable is assigned when the walk
+    reaches it is skipped; every child has undone its own assignments by
+    then, so that reads the node's own.
     """
-    entry, values = state.levels, state.values
+    values = state.values
     assign, completing = state.assign, state.completing
     pinned = []
     run = 0
@@ -87,7 +89,6 @@ def _children(state: NogoodState, pairs: tuple, d: int):
         pinned.append(u)
     if run:
         yield -run
-    state.levels = entry
     for u in pinned:
         values[u] = None
 

@@ -13,12 +13,16 @@ Iteration i reads 2n counter-based splitmix64 words from
 each word in its own 128-bit lane of one Python int, so splitmix64's
 three mixing rounds run once per 16 words; word t is still
 `_splitmix64(s + t * golden)`, so the stream is unchanged.
-Both ways of running iterations keep `NogoodState`'s levels, the bitsets
-of the live nogoods by their count of unassigned pairs.
-`iteration_successes` runs many iterations as one numpy block, each row
-holding its levels as 64-bit words; `solve_ppsz` runs them one at a time,
-each on a new `NogoodState`, since it usually stops after one to three,
-and reads the same words, so its iteration i is the block's row i.
+`solve_ppsz` runs iterations one at a time, each on a new `NogoodState`,
+since it usually stops after one to three.  `iteration_successes` runs
+many as one numpy block, each row holding, as 64-bit words, the bitsets
+of the nogoods by their count of pairs not yet matched.  The block never
+kills a nogood, as `NogoodState.assign` does once one of its variables
+takes another value: such a nogood keeps that unmatched pair for good,
+so while another of its pairs is open it has two or more unmatched pairs,
+and once none is, it names no variable left to assign.  It forbids no
+value either way.  Both read the same words, so the solver's iteration i
+is the block's row i, with the same outcome.
 """
 
 from __future__ import annotations
@@ -60,15 +64,16 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """`_splitmix64` of each entry of a uint64 array (array arithmetic wraps
-    mod 2^64, as the masks do above), in a new array."""
-    x = x + np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64's three mixing rounds on each entry of a uint64 array, in
+    place (array arithmetic wraps mod 2^64, as the masks do above), so that
+    entry x becomes _splitmix64(x - golden); returns x."""
+    shifted = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
 
 
@@ -104,10 +109,16 @@ def _stream_words(seed: int, first: int, rows: int, count: int) -> np.ndarray:
     """(count, rows) uint64: column r holds words 0..count-1 of the
     splitmix64 stream seeded by s = derive_seed(seed, first + r), word t
     being _splitmix64(s + t * golden)."""
-    index = np.arange(first, first + rows, dtype=np.uint64)
-    starts = _splitmix64_array(np.uint64(_splitmix64(seed & _MASK64)) ^ _splitmix64_array(index))
-    steps = np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _splitmix64_array(steps[:, None] + starts)
+    golden = np.uint64(_GOLDEN)
+    starts = np.arange(first, first + rows, dtype=np.uint64)
+    starts += golden
+    _mix64_array(starts)  # _splitmix64(first + r)
+    starts ^= np.uint64(_splitmix64(seed & _MASK64))
+    starts += golden
+    _mix64_array(starts)  # derive_seed(seed, first + r)
+    # s + (t + 1) * golden, mixed: _splitmix64(s + t * golden)
+    steps = np.arange(1, count + 1, dtype=np.uint64) * golden
+    return _mix64_array(steps[:, None] + starts)
 
 
 @dataclass(frozen=True)
@@ -159,13 +170,15 @@ class _BlockTables(NamedTuple):
     `_run_block`, each mask as W = ceil(m/64) uint64 words, nogood j at bit
     j % 64 of word j // 64.
 
-    vals[i, y] is the i-th smallest value named with variable y, and
-    match[i, :, y] the mask of the nogoods naming that pair; entries past
-    y's values hold the value d and an empty mask.  levels[c - 1, :] is the
-    initial level c, for c = 1..max(k_max, 1).  ng_vars[j], ng_vals[j]:
-    nogood j's pairs, padded with (0, 0), which every row's unused column 0
-    agrees with; only the safety check reads them, so it does not rest on
-    the masks it checks.
+    vals[i, y] is the i-th smallest value named with variable y (uint64,
+    as the values drawn from the stream words are), and match[i, :, y] the
+    mask of the nogoods naming that pair; entries past y's values hold the
+    value d and an empty mask.  levels[c - 1, :] is the initial level c,
+    for c = 1..max(k_max, 1).  ng_vars[j], ng_vals[j]: nogood j's pairs,
+    padded with (0, 0), which every row's unused column 0 agrees with;
+    ng_vals is uint8 when d <= 256, as the value matrix it is compared
+    with.  Only the safety check reads them, so it does not rest on the
+    masks it checks.
     """
 
     match: np.ndarray
@@ -187,7 +200,7 @@ def _block_tables(instance: CspInstance) -> _BlockTables:
     _, match, initial = instance.by_var
     width = max(1, -(-m // 64))
     columns = max(1, max(map(len, match)))
-    vals = np.full((columns, n + 1), d, dtype=np.intp)
+    vals = np.full((columns, n + 1), d, dtype=np.uint64)
     masks = [[0] * (n + 1) for _ in range(columns)]
     for y, named in enumerate(match):
         for i, (a, mask) in enumerate(sorted(named.items())):
@@ -197,7 +210,7 @@ def _block_tables(instance: CspInstance) -> _BlockTables:
     for i, column in enumerate(masks):
         words[i] = _words(column, width).T
     ng_vars = np.zeros((m, instance.k_max), dtype=np.intp)
-    ng_vals = np.zeros((m, instance.k_max), dtype=np.intp)
+    ng_vals = np.zeros((m, instance.k_max), dtype=np.uint8 if d <= 256 else np.intp)
     for j, ng in enumerate(instance.nogoods):
         for p, (v, a) in enumerate(ng.pairs):
             ng_vars[j, p], ng_vals[j, p] = v, a
@@ -230,22 +243,27 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
     variable y at position t the (words[n+t, r] mod c)-th smallest of its c
     allowed values, aborting when c = 0.
 
-    Every array keeps the rows on its last axis.  Each row carries
-    NogoodState's levels 1..K, as a (K, W, rows) array with level c at
-    index c - 1, and each step
-    applies `NogoodState.forbidden` and `NogoodState.assign` to all rows
-    at once: value a is forbidden iff levels[1] & match[y][a] is nonzero,
-    and assigning a clears touch[y], the union of y's masks, from every
-    level and moves levels[c+1] & match[y][a] down to level c.  Level 0 is
-    not kept: it would only gain levels[1] & match[y][a], which is zero
-    unless a was forbidden, that is, unless the row has aborted.
+    Every array keeps the rows on its last axis.  Each row carries levels
+    1..K, as a (K, W, rows) array with level c at index c - 1 holding the
+    nogoods with c pairs not yet matched.  Value a of y is forbidden iff
+    levels[1] & match[y][a] is nonzero, and assigning a moves
+    levels[c+1] & match[y][a] down to level c; in a row still alive,
+    levels[1] holds none of match[y][a], as a was allowed.  Unlike
+    `NogoodState.assign`, a step kills no nogood that names y with another
+    value: such a nogood forbids nothing (see the module docstring), so
+    every row's outcome is NogoodState's.  Level 0 is not kept: it would
+    only gain levels[1] & match[y][a], which is zero unless a was
+    forbidden, that is, unless the row has aborted.  The last step moves
+    no level, as nothing reads them after it.  The picks are scattered
+    into a value matrix of `tables.ng_vals`' dtype, which the safety check
+    reads on the completed rows alone.
     """
     n, d = instance.n, instance.d
     rows = words.shape[1]
     if instance.by_var[2][0]:  # initial level 0: an arity-0 nogood empties every domain
         return np.zeros(rows, dtype=bool)
     row = np.arange(rows)
-    order = np.tile(np.arange(1, n + 1)[:, None], rows)
+    order = np.repeat(np.arange(1, n + 1), rows).reshape(n, rows)
     # each row's swap partner as an index into the flattened order, so
     # that a step is one 1-d gather and scatter
     cells = order.reshape(-1)
@@ -258,47 +276,59 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
         cells[swap] = order[t]
         order[t] = picked
     levels = np.repeat(tables.levels[:, :, None], rows, axis=2)
-    picks = np.empty((n, rows), dtype=np.intp)
+    picks = np.empty((n, rows), dtype=tables.ng_vals.dtype)
     alive = np.ones(rows, dtype=bool)
     for t in range(n):
         y = order[t]
         match = tables.match.take(y, axis=2)
         vals = tables.vals.take(y, axis=1)
         hit = (match & levels[0]).any(axis=1)
-        count = d - np.count_nonzero(hit, axis=0)
-        alive &= count > 0
-        if not alive.any():
-            return alive
-        value = (words[n + t] % np.maximum(count, 1).astype(np.uint64)).astype(np.intp)
-        # the forbidden values in ascending order, each one at or below
-        # the value so far moving it up by one (the other entries read d,
-        # above any value of a row still alive)
-        for forbidden in np.where(hit, vals, d):
-            value += forbidden <= value
-        chosen = np.bitwise_or.reduce(match * (vals == value)[:, None, :], axis=0)
-        lower = levels[1:] & chosen
-        levels &= ~np.bitwise_or.reduce(match, axis=0)
-        levels[:-1] |= lower
+        if hit.any():
+            count = d - hit.sum(axis=0, dtype=np.uint64)
+            alive &= count > 0
+            if not alive.any():
+                return alive
+            value = words[n + t] % np.maximum(count, 1)
+            # the forbidden values in ascending order, each one at or below
+            # the value so far moving it up by one (the other entries read d,
+            # above any value of a row still alive)
+            for forbidden in np.where(hit, vals, d):
+                value += forbidden <= value
+        else:
+            # w mod d, by a division with a scalar divisor
+            w = words[n + t]
+            value = w - w // d * d
         picks[t] = value
-    values = np.zeros((n + 1, rows), dtype=np.intp)
-    values.reshape(-1)[(order * rows + row).reshape(-1)] = picks.reshape(-1)
-    if _rows_matching(values[:, alive].T, tables.ng_vars, tables.ng_vals).any():
+        if t < n - 1:
+            chosen = np.bitwise_or.reduce(match * (vals == value)[:, None, :], axis=0)
+            lower = levels[1:] & chosen
+            levels[1:] ^= lower
+            levels[:-1] |= lower
+    slots = order * rows
+    slots += row
+    values = np.zeros((n + 1, rows), dtype=picks.dtype)
+    values.reshape(-1)[slots.reshape(-1)] = picks.reshape(-1)
+    if _rows_matching(values.compress(alive, axis=1).T, tables.ng_vars, tables.ng_vals).any():
         raise RuntimeError("a completed PPSZ iteration matches a nogood")
     return alive
 
 
 def _row_bytes(instance: CspInstance, tables: _BlockTables) -> int:
     """Bytes that one row of a block takes, arrays and temporaries, counted
-    high: 2n stream words (three copies while they are hashed) and n
-    positions, swaps, picks and values; the K levels and as many mask
-    temporaries again, plus four, of W words each; y's V gathered value
-    masks of W words, twice; a few V-entry columns; and the safety check's
-    m-entry gather and comparisons.  No array has a column per value, so d
-    enters only through V <= d."""
+    high: 2n stream words (two copies while they are hashed), n positions
+    and scatter slots, and n swaps (two copies while they are computed);
+    the K levels and as many mask temporaries again, plus two, of W words
+    each; y's V gathered value masks of W words, twice; a few V-entry
+    columns; n picks, and the value matrix and its copy of the completed
+    rows, n + 1 entries each; and the safety check's m-entry gather and
+    comparisons.  A value takes one byte when d <= 256 and eight
+    otherwise.  No array has a column per value, so d enters only through
+    V <= d and a value's size."""
     n, m = instance.n, len(instance.nogoods)
     levels, width = tables.levels.shape
     named = len(tables.vals)
-    return 8 * (10 * n + (2 * levels + 4) * width + 2 * named * width + 6 * named) + 10 * m
+    words = 8 * n + (2 * levels + 2) * width + 2 * named * width + 6 * named
+    return 8 * words + tables.ng_vals.itemsize * (3 * n + 2 + m) + 2 * m
 
 
 def _block_rows(instance: CspInstance, tables: _BlockTables) -> int:

@@ -142,7 +142,8 @@ def reference_block_iteration(instance, seed, index):
 
 
 def replay_instances():
-    """corpus(), 200 fuzz instances, and arity-0, d = 1 and UNSAT extras."""
+    """corpus(), 200 fuzz instances, arity-0, d = 1 and UNSAT extras, and
+    value_edge_instances()."""
     rng = random.Random(811)
     instances = [inst for _, inst in corpus()]
     instances += [random_instance(rng) for _ in range(200)]
@@ -152,7 +153,25 @@ def replay_instances():
         CspInstance(3, 1, [[(2, 0), (3, 0)]]),
         CspInstance(2, 2, [[(1, a), (2, b)] for a in range(2) for b in range(2)]),
     ]
-    return instances
+    return instances + value_edge_instances()
+
+
+def value_edge_instances():
+    """d = 256 and d = 257, on both sides of the value matrix's uint8 rule:
+    variable 1 can only take d - 1, and variable 2 anything but 0.  At
+    d = 257 a uint8 matrix would read 256 as 0, and the safety check would
+    find the nogood (1, 0) matched."""
+    return [CspInstance(2, d, [*([(1, a)] for a in range(d - 1)), [(2, 0)]]) for d in (256, 257)]
+
+
+def dead_nogood_instance():
+    """Variable 2 can only take 0.  Once variable 1 takes 0 or 2, the nogood
+    [(1, 1), (2, 0)] names it with another value and keeps (2, 0) open; a
+    kernel that moved it down a level would forbid variable 2's last value
+    and abort.  [(1, 2), (2, 0), (3, 0)] does the same with two pairs open
+    once variable 1 takes 0 or 1."""
+    nogoods = [[(1, 1), (2, 0)], [(2, 1)], [(2, 2)], [(1, 2), (2, 0), (3, 0)]]
+    return CspInstance(3, 3, nogoods)
 
 
 def word_edge_instances():
@@ -179,9 +198,10 @@ def word_edge_instances():
     return instances
 
 
-def assert_replays_reference(monkeypatch, instances, count=30):
-    """iteration_successes on each instance, at 7 rows per block so that
-    blocks end part full, against reference_block_iteration row by row:
+def assert_replays_reference(monkeypatch, instances, count=30, rows=7):
+    """iteration_successes on each instance, at `rows` rows per block (7
+    by default, so that blocks end part full), against
+    reference_block_iteration row by row:
     the outcomes, and the completed rows' assignments, read where the
     kernel's own safety check sees them.  Returns the outcome lists."""
     completed = []
@@ -192,7 +212,7 @@ def assert_replays_reference(monkeypatch, instances, count=30):
         return rows_matching(values, ng_vars, ng_vals)
 
     monkeypatch.setattr(ppsz, "_rows_matching", recording)
-    monkeypatch.setattr(ppsz, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(ppsz, "_BLOCK_ROWS", rows)
     runs = []
     for number, inst in enumerate(instances):
         seed = 1000 + number
@@ -226,6 +246,14 @@ class TestIterationBlocks:
         assert widths == [1, 1, 2, 2, 3, 10]
         for outcomes in assert_replays_reference(monkeypatch, instances, count=40):
             assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("rows", [1, 7, 2048])
+    def test_dead_nogoods_forbid_nothing(self, monkeypatch, rows):
+        # the block kills no nogood, and no row's outcome changes
+        (outcomes,) = assert_replays_reference(
+            monkeypatch, [dead_nogood_instance()], count=60, rows=rows
+        )
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_solver_stops_at_the_first_block_success(self):
         # one stream: solve_ppsz's iteration i is the block's row i
