@@ -42,6 +42,12 @@ class _LimitExceeded(ValueError):
 _MAX_VARIABLES = 1 << 20
 
 
+def _value_dtype(d: int) -> str:
+    """The numpy dtype of an array of values of a domain of size d: uint8
+    when d <= 256, else int64."""
+    return "u1" if d <= 256 else "i8"
+
+
 class _NogoodRecord(NamedTuple):
     """One nogood as `CspInstance.nogoods` holds it: its canonical pairs."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CspInstance, _LimitExceeded, is_satisfying
+from .core import CspInstance, _LimitExceeded, _value_dtype, is_satisfying
 
 DEFAULT_CAP = 1 << 24
 # enumerate_solutions refuses larger spaces whatever the cap: its mask
@@ -128,7 +128,7 @@ def _decode_block(ok: np.ndarray, block: np.ndarray, n: int, d: int):
     d = 1 the one point's digits are all 0 and it has no neighbours; with
     d >= 2 the point limit keeps n <= 28, so the keys fit in an int64.
     """
-    digits = np.zeros((len(block), n), dtype=np.uint8 if d <= 256 else np.int64)
+    digits = np.zeros((len(block), n), dtype=_value_dtype(d))
     keys = np.zeros(len(block), dtype=np.int64)
     count = np.zeros(len(block), dtype=np.uint8)
     if d > 1:

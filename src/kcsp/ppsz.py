@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ppsz_bound_base
-from .core import CspInstance, NogoodState, is_satisfying
+from .core import CspInstance, NogoodState, _value_dtype, is_satisfying
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,16 +64,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64's three mixing rounds on each entry of a uint64 array, in
-    place (array arithmetic wraps mod 2^64, as the masks do above), so that
-    entry x becomes _splitmix64(x - golden); returns x."""
-    shifted = np.empty_like(x)
-    x ^= np.right_shift(x, np.uint64(30), out=shifted)
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """`_splitmix64` of each entry of a uint64 array (array arithmetic wraps
+    mod 2^64, as the masks do above), in a new array."""
+    x = x + np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -109,16 +108,10 @@ def _stream_words(seed: int, first: int, rows: int, count: int) -> np.ndarray:
     """(count, rows) uint64: column r holds words 0..count-1 of the
     splitmix64 stream seeded by s = derive_seed(seed, first + r), word t
     being _splitmix64(s + t * golden)."""
-    golden = np.uint64(_GOLDEN)
-    starts = np.arange(first, first + rows, dtype=np.uint64)
-    starts += golden
-    _mix64_array(starts)  # _splitmix64(first + r)
-    starts ^= np.uint64(_splitmix64(seed & _MASK64))
-    starts += golden
-    _mix64_array(starts)  # derive_seed(seed, first + r)
-    # s + (t + 1) * golden, mixed: _splitmix64(s + t * golden)
-    steps = np.arange(1, count + 1, dtype=np.uint64) * golden
-    return _mix64_array(steps[:, None] + starts)
+    index = np.arange(first, first + rows, dtype=np.uint64)
+    starts = _splitmix64_array(np.uint64(_splitmix64(seed & _MASK64)) ^ _splitmix64_array(index))
+    steps = np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _splitmix64_array(steps[:, None] + starts)
 
 
 @dataclass(frozen=True)
@@ -176,7 +169,7 @@ class _BlockTables(NamedTuple):
     value d and an empty mask.  levels[c - 1, :] is the initial level c,
     for c = 1..max(k_max, 1).  ng_vars[j], ng_vals[j]: nogood j's pairs,
     padded with (0, 0), which every row's unused column 0 agrees with;
-    ng_vals is uint8 when d <= 256, as the value matrix it is compared
+    ng_vals has `_value_dtype(d)`, as the value matrix it is compared
     with.  Only the safety check reads them, so it does not rest on the
     masks it checks.
     """
@@ -210,7 +203,7 @@ def _block_tables(instance: CspInstance) -> _BlockTables:
     for i, column in enumerate(masks):
         words[i] = _words(column, width).T
     ng_vars = np.zeros((m, instance.k_max), dtype=np.intp)
-    ng_vals = np.zeros((m, instance.k_max), dtype=np.uint8 if d <= 256 else np.intp)
+    ng_vals = np.zeros((m, instance.k_max), dtype=_value_dtype(d))
     for j, ng in enumerate(instance.nogoods):
         for p, (v, a) in enumerate(ng.pairs):
             ng_vars[j, p], ng_vals[j, p] = v, a
@@ -263,7 +256,7 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
     if instance.by_var[2][0]:  # initial level 0: an arity-0 nogood empties every domain
         return np.zeros(rows, dtype=bool)
     row = np.arange(rows)
-    order = np.repeat(np.arange(1, n + 1), rows).reshape(n, rows)
+    order = np.tile(np.arange(1, n + 1)[:, None], rows)
     # each row's swap partner as an index into the flattened order, so
     # that a step is one 1-d gather and scatter
     cells = order.reshape(-1)
@@ -283,40 +276,33 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
         match = tables.match.take(y, axis=2)
         vals = tables.vals.take(y, axis=1)
         hit = (match & levels[0]).any(axis=1)
-        if hit.any():
-            count = d - hit.sum(axis=0, dtype=np.uint64)
-            alive &= count > 0
-            if not alive.any():
-                return alive
-            value = words[n + t] % np.maximum(count, 1)
-            # the forbidden values in ascending order, each one at or below
-            # the value so far moving it up by one (the other entries read d,
-            # above any value of a row still alive)
-            for forbidden in np.where(hit, vals, d):
-                value += forbidden <= value
-        else:
-            # w mod d, by a division with a scalar divisor
-            w = words[n + t]
-            value = w - w // d * d
+        count = d - hit.sum(axis=0, dtype=np.uint64)
+        alive &= count > 0
+        if not alive.any():
+            return alive
+        value = words[n + t] % np.maximum(count, 1)
+        # the forbidden values in ascending order, each one at or below
+        # the value so far moving it up by one (the other entries read d,
+        # above any value of a row still alive)
+        for forbidden in np.where(hit, vals, d):
+            value += forbidden <= value
         picks[t] = value
         if t < n - 1:
             chosen = np.bitwise_or.reduce(match * (vals == value)[:, None, :], axis=0)
             lower = levels[1:] & chosen
             levels[1:] ^= lower
             levels[:-1] |= lower
-    slots = order * rows
-    slots += row
     values = np.zeros((n + 1, rows), dtype=picks.dtype)
-    values.reshape(-1)[slots.reshape(-1)] = picks.reshape(-1)
-    if _rows_matching(values.compress(alive, axis=1).T, tables.ng_vars, tables.ng_vals).any():
+    values.reshape(-1)[(order * rows + row).reshape(-1)] = picks.reshape(-1)
+    if _rows_matching(values[:, alive].T, tables.ng_vars, tables.ng_vals).any():
         raise RuntimeError("a completed PPSZ iteration matches a nogood")
     return alive
 
 
 def _row_bytes(instance: CspInstance, tables: _BlockTables) -> int:
     """Bytes that one row of a block takes, arrays and temporaries, counted
-    high: 2n stream words (two copies while they are hashed), n positions
-    and scatter slots, and n swaps (two copies while they are computed);
+    high: 2n stream words (two copies while they are hashed), n positions,
+    and n swaps and scatter slots (two copies each while they are computed);
     the K levels and as many mask temporaries again, plus two, of W words
     each; y's V gathered value masks of W words, twice; a few V-entry
     columns; n picks, and the value matrix and its copy of the completed
@@ -327,7 +313,7 @@ def _row_bytes(instance: CspInstance, tables: _BlockTables) -> int:
     n, m = instance.n, len(instance.nogoods)
     levels, width = tables.levels.shape
     named = len(tables.vals)
-    words = 8 * n + (2 * levels + 2) * width + 2 * named * width + 6 * named
+    words = 9 * n + (2 * levels + 2) * width + 2 * named * width + 6 * named
     return 8 * words + tables.ng_vals.itemsize * (3 * n + 2 + m) + 2 * m
 
 
