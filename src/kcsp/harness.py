@@ -12,6 +12,7 @@ usable data points).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import statistics
@@ -25,10 +26,10 @@ from .generators import gen_coloring, gen_latin, gen_nqueens, gen_uniform
 from .oracle import (
     DEFAULT_CAP,
     _exceeds,
+    _isolation_probe,
     _solution_mask,
     avg_narrow_count,
     enumerate_solutions,
-    verify_lemma2,
 )
 from .ppsz import derive_seed, iteration_successes, success_lower_bound
 from .dpll import solve_dpll
@@ -225,19 +226,13 @@ def node_growth_experiment(
     )
 
 
-def _random_subset(rng: random.Random, n: int, d: int) -> set:
-    # size uniform on [1, min(d^n, 64)], points sampled without replacement
+def _random_subset(rng: random.Random, n: int, d: int) -> list[int]:
+    """A random nonempty S in [0,d)^n, kept as the point codes sum X_i d^(n-1-i)
+    that `rng.sample` returns: size uniform on [1, min(d^n, 64)], points
+    sampled without replacement, none decoded into a tuple."""
     universe = d**n
     size = 1 + rng.randrange(min(universe, 64))
-    codes = rng.sample(range(universe), size)
-    points = set()
-    for code in codes:
-        digits = []
-        for _ in range(n):
-            code, digit = divmod(code, d)
-            digits.append(digit)
-        points.add(tuple(reversed(digits)))
-    return points
+    return rng.sample(range(universe), size)
 
 
 def verify_campaign(
@@ -247,10 +242,14 @@ def verify_campaign(
 
     kind "lemma2": for subsets_per_cell random nonempty S in [0,d)^n per
     (n, d) with n, d in {2, 3, 4}, sum over X in S of d^J(X) is at least
-    d^n (exact integers).  kind "lemma1": for every solution X of each
-    corpus() instance with n <= max_n, the order-averaged narrowed-variable
-    count is at least J(X)/k_max (exact rationals, all n! orders).  Each
-    kind reads only its own keyword and refuses a value below 1.
+    d^n (exact integers), the sum `verify_lemma2` checks.  Each S stays
+    the point codes `_random_subset` drew, and its degrees come from
+    `oracle._isolation_probe`, the probe `isolation_degrees` runs once it
+    has checked and encoded its points.  kind "lemma1": for every solution
+    X of each corpus() instance with n <= max_n, the order-averaged
+    narrowed-variable count is at least J(X)/k_max (exact rationals, all
+    n! orders).  Each kind reads only its own keyword and refuses a value
+    below 1.
     """
     if kind == "lemma2":
         if subsets_per_cell < 1:
@@ -260,12 +259,17 @@ def verify_campaign(
         failures = 0
         for cell_index, (n, d) in enumerate(grid):
             rng = random.Random(derive_seed(seed, cell_index))
+            # the digits of every code of the cell, variable 1 first
+            digits = list(itertools.product(range(d), repeat=n))
+            powers = [d ** (n - 1 - i) for i in range(n)]
             for _ in range(subsets_per_cell):
-                subset = _random_subset(rng, n, d)
-                holds, lhs = verify_lemma2(subset, n, d)
+                codes = _random_subset(rng, n, d)
+                degrees = _isolation_probe(codes, map(digits.__getitem__, codes), powers, d)
+                lhs = sum(d**j for j in degrees)
+                holds = lhs >= d**n
                 failures += not holds
                 records.append(
-                    {"n": n, "d": d, "size": len(subset), "lhs": str(lhs), "holds": holds}
+                    {"n": n, "d": d, "size": len(codes), "lhs": str(lhs), "holds": holds}
                 )
         return ExperimentResult(
             experiment="verify-lemma2",

@@ -46,25 +46,51 @@ def isolation_degrees(points, n: int, d: int) -> list[int]:
     """Isolation degree of each point with respect to the given set itself.
 
     One degree per input point, in input order, repeats included.  Each
-    distinct point is coded as the Python int sum X_i d^(n-1-i), so its
-    neighbour with X_i changed to a is code + (a - X_i) d^(n-1-i) and is
-    probed in the set of codes without building a tuple.  Python ints do
-    not wrap, so the codes are exact for any d^n.  Raises ValueError if
-    some point is not n integer values in 0..d-1.
+    distinct point is coded as the Python int sum X_i d^(n-1-i) and its
+    neighbours are probed in the set of codes (`_isolation_probe`).  Python
+    ints do not wrap, so the codes are exact for any d^n.  Entries are read
+    by `operator.index`, so numpy integers pass and a float does not;
+    numpy bools pass as 0 and 1.  Raises ValueError if some point is not n
+    integer values in 0..d-1.
     """
     rows = [tuple(X) for X in points]
     digits_of = {}
     for X in dict.fromkeys(rows):
-        digits = tuple(map(int, X))  # numpy scalars would wrap in the code arithmetic
-        if len(digits) != n or digits != X or (n and not 0 <= min(digits) <= max(digits) < d):
+        try:
+            # exact Python ints: numpy scalars would wrap in the code arithmetic
+            digits = tuple(map(operator.index, X))
+        except TypeError:
+            digits = _bool_digits(X)
+        if digits is None or len(digits) != n or (n and not 0 <= min(digits) <= max(digits) < d):
             raise ValueError(f"point {X} is not {n} values in 0..{d - 1}")
         digits_of[X] = digits
     powers = [d ** (n - 1 - i) for i in range(n)]
     codes = [sum(map(operator.mul, digits, powers)) for digits in digits_of.values()]
+    degrees = _isolation_probe(codes, digits_of.values(), powers, d)
+    degree_of = dict(zip(digits_of, degrees))
+    return [degree_of[X] for X in rows]
+
+
+def _bool_digits(X) -> tuple | None:
+    """X's entries as ints where each is an integer or a numpy bool, else None."""
+    try:
+        return tuple(int(x) if isinstance(x, np.bool_) else operator.index(x) for x in X)
+    except TypeError:
+        return None
+
+
+def _isolation_probe(codes, digit_rows, powers, d: int) -> list[int]:
+    """Isolation degree of each of the distinct point codes in the set of them.
+
+    `digit_rows` holds each code's digits, variable 1 first, and `powers`
+    holds d^(n-1-i), so the neighbour with X_i changed to a is
+    code + (a - X_i) d^(n-1-i), probed in the set of codes without building
+    a tuple.  `isolation_degrees` and the lemma-2 campaign both call it.
+    """
     S = set(codes)
     values = range(d)
     degrees = []
-    for code, digits in zip(codes, digits_of.values()):
+    for code, digits in zip(codes, digit_rows):
         degree = 0
         for x, power in zip(digits, powers):
             base = code - x * power
@@ -73,8 +99,7 @@ def isolation_degrees(points, n: int, d: int) -> list[int]:
                     degree += 1
                     break
         degrees.append(degree)
-    degree_of = dict(zip(digits_of, degrees))
-    return [degree_of[X] for X in rows]
+    return degrees
 
 
 def _exceeds(d: int, n: int, cap: int) -> bool:

@@ -24,19 +24,26 @@ def _f(x: Fraction, d: int, k: int) -> Fraction:
     return x**k - (d - 1) * sum(x**i for i in range(k))
 
 
+def _tolerance(d: int, k: int) -> Fraction:
+    """The width at which char_root's bisection stops."""
+    lower = d - Fraction(1, d ** (k - 1))
+    upper = d - Fraction(d - 1, d**k)
+    slope_cap = (2 * k + 1) * d**k
+    return min(
+        Fraction(1, 10**13),
+        Fraction(1, 10**10 * slope_cap),
+        -g(lower, d, k) / (2 * slope_cap),
+        g(upper, d, k) / (2 * slope_cap),
+    )
+
+
 def reference_char_root(d: int, k: int) -> RootResult:
     """char_root's bisection with every iterate a Fraction: halve (dk/(k+1), d)
     until it is at most tol wide, testing the sign of g at each midpoint."""
     lo, hi = Fraction(d * k, k + 1), Fraction(d)
     lower = d - Fraction(1, d ** (k - 1))
     upper = d - Fraction(d - 1, d**k)
-    slope_cap = (2 * k + 1) * d**k
-    tol = min(
-        Fraction(1, 10**13),
-        Fraction(1, 10**10 * slope_cap),
-        -g(lower, d, k) / (2 * slope_cap),
-        g(upper, d, k) / (2 * slope_cap),
-    )
+    tol = _tolerance(d, k)
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if g(mid, d, k) < 0:
@@ -106,6 +113,36 @@ class TestCharRoot:
         for d in range(2, 17):
             for k in range(2, 17):
                 assert char_root(d, k) == reference_char_root(d, k), (d, k)
+
+    @pytest.mark.parametrize("d, k", [(2, 200), (1000, 40), (50, 100)])
+    def test_root_is_the_bisection_cell_midpoint(self, d, k):
+        # bisection from width d/(k+1) down to the tolerance ends in a cell
+        # [d*N/den, d*(N+1)/den], den = (k+1)*2^s, with g < 0 at its left end
+        # and g >= 0 at its right end; (50, 100) has s > 1024, so den is past
+        # the float range.  The cell is checked, not bisected to.
+        tol, width, s = _tolerance(d, k), Fraction(d, k + 1), 0
+        while width > tol:
+            width, s = width / 2, s + 1
+        den = (k + 1) << s
+        result = char_root(d, k)
+        twice_n_plus_1 = result.root_exact * 2 * den / d
+        assert twice_n_plus_1.denominator == 1 and twice_n_plus_1.numerator % 2 == 1
+        N = twice_n_plus_1.numerator // 2
+        assert k << s <= N < (k + 1) << s
+        assert g(Fraction(d * N, den), d, k) < 0 <= g(Fraction(d * (N + 1), den), d, k)
+        assert result.lambda_ == float(result.root_exact)
+        assert result.residual_g == float(abs(g(result.root_exact, d, k)))
+        assert result.lower_exact < result.root_exact < result.upper_exact
+
+    @pytest.mark.parametrize("d, k", [(2, 2), (3, 5), (10, 10), (5, 20)])
+    def test_same_cell_from_any_start(self, monkeypatch, d, k):
+        # Newton steps reach the cell from a start below the root, far below
+        # it (clamped to the bracket), or at the bracket's top
+        expected = char_root(d, k)
+        ratio = expected.lambda_ / d
+        for start in (ratio * (1 - 1e-12), ratio * (1 - 1e-3), k / (k + 1), 0.0, 1.0):
+            monkeypatch.setattr("kcsp.analysis._float_ratio", lambda d, k: start)
+            assert char_root(d, k) == expected, start
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

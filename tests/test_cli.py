@@ -3,7 +3,6 @@ import json
 import math
 import time
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
@@ -582,8 +581,8 @@ class TestAnalyze:
         assert not path.exists()
 
     def test_failed_certification_is_a_runtime_error(self, capsys, monkeypatch):
-        # a g that never changes sign fails char_root's bracket check: exit 3, not 2
-        monkeypatch.setattr("kcsp.analysis._g", lambda x, d, k: Fraction(1))
+        # a sign test that never changes sign fails char_root's bracket check: exit 3, not 2
+        monkeypatch.setattr("kcsp.analysis._scaled_g", lambda d, k, q: lambda p: 1)
         code, out, err = run(capsys, "analyze", "--d", "2", "--k", "2")
         assert (code, out, err) == (3, "", "error: bisection bracket does not straddle the root\n")
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,10 @@ from kcsp import (
     verify_campaign,
 )
 
+from kcsp.ppsz import derive_seed
+
 from bruteforce import brute_solutions
+from conftest import checks
 
 
 class TestCorpus:
@@ -156,6 +160,25 @@ class TestVerifyCampaign:
         for record in result.records:
             assert record["holds"]
             assert int(record["lhs"]) >= record["d"] ** record["n"]
+
+    def test_lemma2_records_match_the_definition(self):
+        # redraw each cell's subsets the documented way: size uniform on
+        # [1, min(d^n, 64)], then that many codes sampled from range(d^n),
+        # each the point sum X_i d^(n-1-i); every record is sum d^J over them
+        seed, per_cell = 8, 40
+        result = verify_campaign("lemma2", seed=seed, subsets_per_cell=per_cell)
+        records = iter(result.records)
+        for cell_index, (n, d) in enumerate(result.params["grid"]):
+            rng = random.Random(derive_seed(seed, cell_index))
+            for _ in range(per_cell):
+                size = 1 + rng.randrange(min(d**n, 64))
+                codes = rng.sample(range(d**n), size)
+                points = [tuple(code // d ** (n - 1 - i) % d for i in range(n)) for code in codes]
+                lhs = sum(d**j for j in checks.isolation_by_definition(points, n, d))
+                assert next(records) == {
+                    "n": n, "d": d, "size": size, "lhs": str(lhs), "holds": lhs >= d**n,
+                }
+        assert next(records, None) is None
 
     def test_lemma1_small_corpus(self):
         result = verify_campaign("lemma1", seed=0, max_n=4)

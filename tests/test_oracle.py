@@ -289,6 +289,20 @@ class TestCriticalPoints:
             with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
                 isolation_degrees(points, 2, 2)
 
+    def test_entries_read_as_exact_integers(self):
+        # a float or a string that equals an int is not an integer value
+        for entry in (1.0, np.float64(1.0), "1", Fraction(1)):
+            with pytest.raises(ValueError, match=r"point \(.+\) is not 2 values in 0\.\.1"):
+                isolation_degrees([(entry, 0)], 2, 2)
+            with pytest.raises(ValueError, match=r"is not 2 values in 0\.\.1"):
+                verify_lemma2([(entry, 0)], 2, 2)
+        # numpy integers, bools and numpy bools are integer values
+        for one in (np.int64(1), np.uint8(1), True, np.True_):
+            assert isolation_degrees([(one, 0), (0, 0)], 2, 2) == [1, 1]
+            assert verify_lemma2([(one, 0)], 2, 2) == (True, 4)
+        rows = np.array([[True, False], [False, False]])
+        assert isolation_degrees(rows, 2, 2) == [1, 1]
+
     def test_three_routes_agree_on_fuzz(self):
         rng = random.Random(556)
         for _ in range(120):
