@@ -239,8 +239,25 @@ def is_satisfying(instance: CspInstance, values) -> bool:
     return True
 
 
+def _step(levels: list[int], keep: int, match: int) -> list[int]:
+    """The levels after an unassigned variable v takes a value a, as a new
+    list: the live nogoods in `match`, those naming (v, a), go down one
+    level, and those outside `keep`, which is ~(the nogoods naming v), are
+    dropped.  No matched nogood names the unassigned v, so level 0 only
+    gains.  3 * max(k_max, 1) big-int operations of up to m bits each,
+    however many nogoods name v; `levels` is not changed."""
+    low = levels[1]
+    new = [levels[0] | (low & match)]
+    for high in levels[2:]:
+        new.append((low & keep) | (high & match))
+        low = high
+    new.append(low & keep)
+    return new
+
+
 class NogoodState:
-    """Incremental status of every nogood under a partial assignment.
+    """Incremental status of every nogood under a partial assignment, for
+    PPSZ's `_iterate`; `solve_dpll` reads the same tables itself.
 
     `values[v]` is variable v's value, or None while unassigned
     (`values[0]` is unused padding).  `levels[c]`, for c = 0..max(k_max, 1),
@@ -249,16 +266,14 @@ class NogoodState:
     holds the matched nogoods, arity-0 ones from the start, and a killed
     nogood is in no level.
 
-    `assign(v, a)` moves the live nogoods naming (v, a) down one level and
-    drops those naming v with another value, from two masks cached on the
-    instance (`CspInstance.by_var`): k_max + 1 big-int operations of m bits
-    each, however many nogoods name v.  It replaces the levels list and
-    never changes one in place.  So there is one undo rule, and the state
-    keeps no trail: a caller that kept `levels` before assigning some
-    variables undoes them all by putting that list back and setting those
-    `values` to None, in any order.  A new state is the empty assignment.
-    `select`, `completing` and `forbidden` read the levels without
-    changing them.  Single-owner and mutable.
+    `assign(v, a)` makes the one move `_step`, from two masks cached on the
+    instance (`CspInstance.by_var`), the move the DPLL walk makes as well.
+    It replaces the levels list and never changes one in place.  So there
+    is one undo rule, and the state keeps no trail: a caller that kept
+    `levels` before assigning some variables undoes them all by putting
+    that list back and setting those `values` to None, in any order.  A
+    new state is the empty assignment.  `forbidden` reads the levels
+    without changing them.  Single-owner and mutable.
     """
 
     def __init__(self, instance: CspInstance):
@@ -271,42 +286,19 @@ class NogoodState:
         return self.levels[0] != 0
 
     def assign(self, var: int, value: int) -> None:
-        old = self.levels
         self.values[var] = value
         touch = self._touch[var]
         if touch:
-            match = self._match[var].get(value, 0)
-            # no matched nogood names the unassigned var, so level 0 only gains
-            new = [old[0] | (old[1] & match)]
-            for c in range(1, len(old) - 1):
-                low = old[c]
-                new.append((low ^ (low & touch)) | (old[c + 1] & match))
-            low = old[-1]
-            new.append(low ^ (low & touch))
-            self.levels = new
-
-    def select(self) -> int:
-        """Index of the live nogood with fewest unassigned pairs, at least
-        one (ties: lowest index), or -1 when there is none."""
-        for level in self.levels[1:]:
-            if level:
-                return (level & -level).bit_length() - 1
-        return -1
-
-    def completing(self, y: int) -> tuple[int, dict[int, int]]:
-        """Which values of the unassigned variable y would complete a match,
-        as (live, masks): value a would iff `live & masks.get(a, 0)` is
-        nonzero.  `live` is the bitset of the live nogoods whose only
-        unassigned pair names y; `masks` must not be changed."""
-        return self.levels[1] & self._touch[y], self._match[y]
+            self.levels = _step(self.levels, ~touch, self._match[var].get(value, 0))
 
     def forbidden(self, y: int) -> set[int]:
         """Values a of the live nogoods whose only unassigned pair is (y, a):
-        the values that would complete a match."""
-        live, masks = self.completing(y)
+        the values of the unassigned variable y that would complete a
+        match."""
+        live = self.levels[1] & self._touch[y]
         if not live:
             return set()
-        return {a for a, mask in masks.items() if live & mask}
+        return {a for a, mask in self._match[y].items() if live & mask}
 
 
 def parse_instance(text) -> CspInstance:

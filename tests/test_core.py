@@ -290,22 +290,28 @@ class TestNogoodState:
                 if all(assigned.get(v, a) == a for v, a in ng.pairs)
                 and any(v not in assigned for v, _ in ng.pairs)
             ]
-            assert state.select() == min(open_nogoods, default=(0, -1))[1]
+            # solve_dpll's select rule, read off the levels: the lowest set
+            # bit of the first non-empty level from level 1 on
+            level = next((level for level in state.levels[1:] if level), 0)
+            assert (level & -level).bit_length() - 1 == min(open_nogoods, default=(0, -1))[1]
             for y in range(1, inst.n + 1):
                 if y not in assigned:
                     expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
                     assert state.forbidden(y) == expected
 
     def test_completing_names_the_forbidden_values_along_random_walks(self):
+        # the DPLL walk's blocking test: value a of y would complete a match
+        # iff level 1, cut to the nogoods naming y, meets those naming (y, a)
         for inst, state, assigned in random_walks(4110):
+            touch, match, _ = inst.by_var
             for y in range(1, inst.n + 1):
                 if y in assigned:
                     continue
-                live, masks = state.completing(y)
+                live = state.levels[1] & touch[y]
                 forbidden = state.forbidden(y)
                 narrowed = brute_narrowed_domain(inst, assigned, y)
                 for value in range(inst.d):
-                    completes = bool(live & masks.get(value, 0))
+                    completes = bool(live & match[y].get(value, 0))
                     assert completes == (value in forbidden) == (value not in narrowed)
 
     def test_assign_unassign_round_trip(self):

@@ -3,10 +3,13 @@ import math
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
 
+import kcsp.dpll as dpll
 from kcsp import (
     CspInstance,
     char_root,
@@ -14,8 +17,7 @@ from kcsp import (
     is_satisfying,
     solve_dpll,
 )
-from kcsp.core import NogoodState
-from kcsp.generators import gen_coloring, gen_uniform
+from kcsp.generators import gen_coloring, gen_model_rb, gen_uniform
 from kcsp.harness import corpus
 
 from bruteforce import CounterState, brute_solutions, reference_dpll
@@ -305,18 +307,71 @@ class TestBlockedChildren:
             assert got == reference_dpll(inst) == ("UNSAT", None, 2 * d - 1, 2), d
 
     def test_blocked_children_are_not_assigned(self, monkeypatch):
+        # every assignment the walk makes, searched child or pin, is one
+        # call of the move it shares with NogoodState.assign
         calls = 0
-        assign = NogoodState.assign
+        step = dpll._step
 
-        def counting(state, var, value):
+        def counting(levels, keep, match):
             nonlocal calls
             calls += 1
-            assign(state, var, value)
+            return step(levels, keep, match)
 
-        monkeypatch.setattr(NogoodState, "assign", counting)
+        monkeypatch.setattr(dpll, "_step", counting)
         stats = solve_dpll(pigeonhole(6, 5))
-        # the plain loop makes 1,630 assign calls for these 1,305 nodes
-        assert stats.nodes == 1305 and calls < stats.nodes
+        # reference_dpll's plain loop assigns 1,630 times for these 1,305
+        # nodes; skipping the blocked children and the last pin leaves 325
+        assert (stats.nodes, calls) == (1305, 325)
+
+
+class TestDomainEdges:
+    """The value walk at the domain sizes it must not slow down or break
+    on: d = 2^20, d = 1 and d = 300, each outcome pinned."""
+
+    def test_huge_domain_one_unary_nogood(self):
+        # the root branches x1 over 1..d-1 and its first child is SAT: the
+        # walk must not build anything of size d (or d^2) up front
+        inst = CspInstance(1, 1 << 20, [[(1, 0)]])
+        inst.by_var  # built before the trace, as every solve shares it
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            stats = solve_dpll(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - started
+        got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+        assert got == ("SAT", (1,), 2, 1)
+        assert peak < 64 * 1024, peak
+        assert elapsed < 0.25, elapsed
+
+    def test_unit_domain(self):
+        # d = 1: no child has another value, so only pins are made; any
+        # nogood is matched by the one total assignment
+        inst = CspInstance(4, 1, [[(1, 0), (3, 0)], [(2, 0), (3, 0), (4, 0)]])
+        stats = solve_dpll(inst)
+        got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+        assert got == reference_dpll(inst) == ("UNSAT", None, 1, 0)
+        stats = solve_dpll(CspInstance(3, 1))
+        assert (stats.status, stats.assignment, stats.nodes, stats.max_depth) == (
+            "SAT", (0, 0, 0), 1, 0
+        )
+
+    def test_domain_of_300(self):
+        # unary nogoods leave x1..x4 the values 7, 107 and 207, and the
+        # binary ones ask for four different values among them (K4 in three
+        # colors): UNSAT, and SAT once one binary nogood is dropped
+        unary = [[(v, a)] for v in range(1, 5) for a in range(300) if a % 100 != 7]
+        edges = [[(u, a), (v, a)] for u in range(1, 5) for v in range(u + 1, 5) for a in (7, 107, 207)]
+        for nogoods, expected in [
+            (edges + unary, ("UNSAT", None, 4785, 4)),
+            (unary + edges[:-1], ("SAT", (7, 107, 207, 207), 529, 4)),
+        ]:
+            inst = CspInstance(4, 300, nogoods)
+            stats = solve_dpll(inst)
+            got = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            assert got == reference_dpll(inst) == expected
 
 
 class TestPinnedTrees:
@@ -343,3 +398,38 @@ class TestPinnedTrees:
             count += 1
         assert count == len(corpus()) + 5 + 9 + 24
         assert digest.hexdigest() == self.DIGEST
+
+    # the same digest over wide_set(), recorded with the walk that read
+    # NogoodState's methods for every node
+    WIDE_DIGEST = "20ff76db39574e3f13c94674e0bc5a8841ad47b7559f20ecd62fbe8e0bf40cde"
+
+    def wide_set(self):
+        """Seeded model RB instances at d = 4..16 (k = 2), 4..10 (k = 3) and
+        4..7 (k = 4), and random graph colorings at d = 4..16 in steps of 3:
+        SAT and UNSAT, with nogoods of arity 2 to 4 over wide domains."""
+
+        def model_rb(n, d, k, seed):
+            # alpha puts round(n^alpha) at d; r = 1, p = 0.5 at k >= 3
+            return gen_model_rb(n, math.log(d) / math.log(n), 1.0, 0.45 if k == 2 else 0.5, k, seed)
+
+        def coloring(d, seed):
+            rng = random.Random(seed)
+            vertices = range(1, d + 5)
+            edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < 0.8]
+            return gen_coloring(edges, d + 4, d)
+
+        yield from (model_rb(11, d, 2, seed=d) for d in range(4, 17))
+        yield from (model_rb(6, d, 3, seed=d) for d in range(4, 11))
+        yield from (model_rb(6, d, 4, seed=d) for d in range(4, 8))
+        yield from (coloring(d, seed=d) for d in range(4, 17, 3))
+
+    def test_wide_domain_trees_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        domains = []
+        for inst in self.wide_set():
+            stats = solve_dpll(inst)
+            tree = (stats.status, stats.assignment, stats.nodes, stats.max_depth)
+            digest.update(repr(tree).encode())
+            domains.append(inst.d)
+        assert domains == [*range(4, 17), *range(4, 11), *range(4, 8), *range(4, 17, 3)]
+        assert digest.hexdigest() == self.WIDE_DIGEST
