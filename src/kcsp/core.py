@@ -105,13 +105,14 @@ def _canonical(pairs, n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(canonical)
 
 
-def _as_int(entry) -> int:
+def _as_int(entry, name: str = "entry") -> int:
     """`entry` as an exact int, by `operator.index`: a float or a string is
-    refused, where int() would truncate or parse it."""
+    refused with ValueError ("<name> <repr> is not an integer"), where
+    int() would truncate or parse it."""
     try:
         return index(entry)
     except TypeError:
-        raise ValueError(f"entry {entry!r} is not an integer") from None
+        raise ValueError(f"{name} {entry!r} is not an integer") from None
 
 
 class _CanonicalNogoods(list):
@@ -124,19 +125,22 @@ class _CanonicalNogoods(list):
 class CspInstance:
     """Immutable CSP instance: n variables over {0..d-1} plus a nogood list.
 
-    Each nogood is given as an iterable of (variable, value) pairs.  Its
-    entries become ints and its pairs are sorted by variable; a nogood that
-    is not iterable, an item of it that is not a pair of two entries, an
-    entry that is not an integer, a variable outside 1..n, a value outside
-    0..d-1 or a variable named twice in one nogood raises ValueError.  A
-    nogood given in that form already, a tuple of (int, int) tuples sorted
-    by variable, is kept as the same object.  Repeated nogoods are dropped,
+    n and d become exact ints by `operator.index`; a float or a string
+    raises ValueError ("variable count 2.0 is not an integer").  Each
+    nogood is given as an iterable of (variable, value) pairs.  Its entries
+    become ints and its pairs are sorted by variable; a nogood that is not
+    iterable, an item of it that is not a pair of two entries, an entry
+    that is not an integer, a variable outside 1..n, a value outside 0..d-1
+    or a variable named twice in one nogood raises ValueError.  A nogood
+    given in that form already, a tuple of (int, int) tuples sorted by
+    variable, is kept as the same object.  Repeated nogoods are dropped,
     keeping first-occurrence order.  `nogoods` holds one record per nogood,
     whose `pairs` is that sorted tuple (pass those `pairs` to build another
     instance from them).  Safe to share across threads.
     """
 
     def __init__(self, n: int, d: int, nogoods=()):
+        n, d = _as_int(n, "variable count"), _as_int(d, "domain size")
         if n < 1:
             raise ValueError(f"variable count must be positive, got {n}")
         if d < 1:
@@ -170,11 +174,12 @@ class CspInstance:
 
     @cached_property
     def by_var(self) -> tuple[list[int], list[dict[int, int]], list[int]]:
-        """NogoodState's tables, built once per instance in one pass over
-        the nogoods, bit j standing for nogood j: per variable v, the mask
-        of the nogoods naming v and a dict from each value a named with v
-        to the mask of the nogoods naming (v, a); and the initial levels,
-        level c holding the nogoods of arity c (c = 0..max(k_max, 1)).
+        """The nogood state's tables (see `_step`), built once per instance
+        in one pass over the nogoods, bit j standing for nogood j: per
+        variable v, the mask of the nogoods naming v (`touch[v]`) and a
+        dict from each value a named with v to the mask of the nogoods
+        naming (v, a) (`match[v]`); and the initial levels, level c holding
+        the nogoods of arity c (c = 0..max(k_max, 1)).
 
         Only values that occur get a mask, so no table is n x d; a variable
         no nogood names shares one empty dict (read-only), and a variable
@@ -224,10 +229,13 @@ def _bits(indices: list[int]) -> int:
 
 def is_satisfying(instance: CspInstance, values) -> bool:
     """True iff the total assignment `values` (variable v's value at index
-    v-1) matches no nogood in full.  ValueError if it is partial or has a
-    value outside 0..d-1."""
+    v-1) matches no nogood in full.  ValueError if it is partial, has a
+    value that is not an integer (read by `operator.index`, so numpy
+    integers and bools are integers, and a float is not) or has a value
+    outside 0..d-1."""
     if len(values) != instance.n or None in values:
         raise ValueError("is_satisfying requires a total assignment")
+    values = list(map(_as_int, values))
     if min(values) < 0 or max(values) >= instance.d:
         raise ValueError(f"is_satisfying requires values in 0..{instance.d - 1}")
     for ng in instance.nogoods:
@@ -240,12 +248,24 @@ def is_satisfying(instance: CspInstance, values) -> bool:
 
 
 def _step(levels: list[int], keep: int, match: int) -> list[int]:
-    """The levels after an unassigned variable v takes a value a, as a new
-    list: the live nogoods in `match`, those naming (v, a), go down one
-    level, and those outside `keep`, which is ~(the nogoods naming v), are
-    dropped.  No matched nogood names the unassigned v, so level 0 only
+    """The one move of the nogood state, which the DPLL walk and the PPSZ
+    pass both make.
+
+    The state of a partial assignment is a levels list: `levels[c]`, for
+    c = 0..max(k_max, 1), is an int whose bit j is set iff nogood j is
+    live (no assigned pair disagrees with it) and has exactly c unassigned
+    pairs.  So `levels[0]` holds the matched nogoods, arity-0 ones from
+    the start, and a killed nogood is in no level; `CspInstance.by_var`
+    holds the empty assignment's.  Value a of an unassigned variable y
+    would complete a match iff `levels[1] & touch[y]` meets `match[y][a]`.
+
+    Returns the levels after an unassigned variable v takes a value a, as
+    a new list: the live nogoods in `match`, those naming (v, a), go down
+    one level, and those outside `keep`, which is ~(the nogoods naming v),
+    are dropped.  No matched nogood names the unassigned v, so level 0 only
     gains.  3 * max(k_max, 1) big-int operations of up to m bits each,
-    however many nogoods name v; `levels` is not changed."""
+    however many nogoods name v.  `levels` is not changed, so a caller
+    that kept a list undoes every move made since by putting it back."""
     low = levels[1]
     new = [levels[0] | (low & match)]
     for high in levels[2:]:
@@ -253,52 +273,6 @@ def _step(levels: list[int], keep: int, match: int) -> list[int]:
         low = high
     new.append(low & keep)
     return new
-
-
-class NogoodState:
-    """Incremental status of every nogood under a partial assignment, for
-    PPSZ's `_iterate`; `solve_dpll` reads the same tables itself.
-
-    `values[v]` is variable v's value, or None while unassigned
-    (`values[0]` is unused padding).  `levels[c]`, for c = 0..max(k_max, 1),
-    is an int whose bit j is set iff nogood j is live (no assigned pair
-    disagrees with it) and has exactly c unassigned pairs.  So `levels[0]`
-    holds the matched nogoods, arity-0 ones from the start, and a killed
-    nogood is in no level.
-
-    `assign(v, a)` makes the one move `_step`, from two masks cached on the
-    instance (`CspInstance.by_var`), the move the DPLL walk makes as well.
-    It replaces the levels list and never changes one in place.  So there
-    is one undo rule, and the state keeps no trail: a caller that kept
-    `levels` before assigning some variables undoes them all by putting
-    that list back and setting those `values` to None, in any order.  A
-    new state is the empty assignment.  `forbidden` reads the levels
-    without changing them.  Single-owner and mutable.
-    """
-
-    def __init__(self, instance: CspInstance):
-        self._touch, self._match, self.levels = instance.by_var
-        self.values: list[int | None] = [None] * (instance.n + 1)
-
-    @property
-    def matched(self) -> bool:
-        """Whether some nogood is matched in full."""
-        return self.levels[0] != 0
-
-    def assign(self, var: int, value: int) -> None:
-        self.values[var] = value
-        touch = self._touch[var]
-        if touch:
-            self.levels = _step(self.levels, ~touch, self._match[var].get(value, 0))
-
-    def forbidden(self, y: int) -> set[int]:
-        """Values a of the live nogoods whose only unassigned pair is (y, a):
-        the values of the unassigned variable y that would complete a
-        match."""
-        live = self.levels[1] & self._touch[y]
-        if not live:
-            return set()
-        return {a for a, mask in self._match[y].items() if live & mask}
 
 
 def parse_instance(text) -> CspInstance:

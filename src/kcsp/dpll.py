@@ -1,17 +1,17 @@
 """Deterministic branching solver driven by nogood selection.
 
-The search keeps the levels of `NogoodState` (level c holds the live
-nogoods with c unassigned pairs, as one bitset) and reads
-`CspInstance.by_var`'s tables itself, bound once per solve.  At each node
-it picks the live nogood with fewest unassigned pairs (ties: lowest
-index), the lowest set bit of the first non-empty level, and walks its
-unassigned pairs (u1:a1), ..., (ut:at) in canonical order: for each
+The search keeps the nogood state's levels (level c holds the live
+nogoods with c unassigned pairs, as one bitset; see `core._step`) and
+reads `CspInstance.by_var`'s tables itself, bound once per solve.  At
+each node it picks the live nogood with fewest unassigned pairs (ties:
+lowest index), the lowest set bit of the first non-empty level, and walks
+its unassigned pairs (u1:a1), ..., (ut:at) in canonical order: for each
 position i it first branches u_i over every value other than a_i (with
 u_1..u_{i-1} pinned to the nogood's own values), then pins u_i := a_i and
 moves to position i+1.  Once every pair is pinned the nogood is matched,
 so the node fails.  This yields at most t*(d-1) child branches per node.
-Every child and pin is made by `core._step`, the one move, which
-`NogoodState.assign` makes as well.
+Every child and pin is made by `core._step`, the one move, which PPSZ's
+`_iterate` makes as well.
 
 A child whose value would complete a live nogood is blocked: it fails at
 once, so it is counted as a visited node (at depth + 1) without being

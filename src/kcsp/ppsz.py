@@ -13,15 +13,16 @@ Iteration i reads 2n counter-based splitmix64 words from
 each word in its own 128-bit lane of one Python int, so splitmix64's
 three mixing rounds run once per 16 words; word t is still
 `_splitmix64(s + t * golden)`, so the stream is unchanged.
-`solve_ppsz` runs iterations one at a time, each on a new `NogoodState`,
-since it usually stops after one to three.  `iteration_successes` runs
-many as one numpy block, each row holding, as 64-bit words, the bitsets
-of the nogoods by their count of pairs not yet matched.  The block never
-kills a nogood, as `NogoodState.assign` does once one of its variables
-takes another value: such a nogood keeps that unmatched pair for good,
-so while another of its pairs is open it has two or more unmatched pairs,
-and once none is, it names no variable left to assign.  It forbids no
-value either way.  Both read the same words, so the solver's iteration i
+`solve_ppsz` runs iterations one at a time, each from the empty
+assignment's levels (`CspInstance.by_var`) moved by `core._step`, since
+it usually stops after one to three.  `iteration_successes` runs many as
+one numpy block, each row holding, as 64-bit words, the bitsets of the
+nogoods by their count of pairs not yet matched.  The block never kills
+a nogood, as `_step` does once one of its variables takes another
+value: such a nogood keeps that unmatched pair for good, so while
+another of its pairs is open it has two or more unmatched pairs, and
+once none is, it names no variable left to assign.  It forbids no value
+either way.  Both read the same words, so the solver's iteration i
 is the block's row i, with the same outcome.
 """
 
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ppsz_bound_base
-from .core import CspInstance, NogoodState, _value_dtype, is_satisfying
+from .core import CspInstance, _step, _value_dtype, is_satisfying
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,40 +127,46 @@ class PpszStats:
 
 
 def _iterate(instance: CspInstance, s: int):
-    """One pass, from a new state, on the stream of s = derive_seed(seed, i),
-    read as `_run_block` reads row i; returns (assignment or None, number of
-    narrowed variables)."""
+    """One pass, from the empty assignment, on the stream of
+    s = derive_seed(seed, i), read as `_run_block` reads row i; returns
+    (assignment or None, number of narrowed variables).  The levels move
+    by `_step`, whose docstring gives the forbidden values' rule."""
     n, d = instance.n, instance.d
-    state = NogoodState(instance)
-    if state.matched:
+    touch, match, levels = instance.by_var
+    if levels[0]:
         return None, 1  # an arity-0 nogood empties every domain
     words = _stream(s, 2 * n)
     order = list(range(1, n + 1))
     for t in range(n - 1, 0, -1):
         j = words[t] % (t + 1)
         order[t], order[j] = order[j], order[t]
+    values = [0] * n
     narrow = 0
     for t, y in enumerate(order):
-        forbidden = state.forbidden(y)
-        if forbidden:
+        touched = touch[y]
+        live = levels[1] & touched
+        if live:
+            forbidden = sorted(a for a, mask in match[y].items() if live & mask)
             narrow += 1
             if len(forbidden) == d:
                 return None, narrow
             # the (w mod c)-th smallest of the c allowed values, found
             # without listing the domain
             value = words[n + t] % (d - len(forbidden))
-            for a in sorted(forbidden):
+            for a in forbidden:
                 if a > value:
                     break
                 value += 1
         else:
             value = words[n + t] % d
-        state.assign(y, value)
-    return tuple(state.values[1:]), narrow
+        values[y - 1] = value
+        if touched:
+            levels = _step(levels, ~touched, match[y].get(value, 0))
+    return tuple(values), narrow
 
 
 class _BlockTables(NamedTuple):
-    """`NogoodState`'s masks (`CspInstance.by_var`) as numpy arrays for
+    """The nogood state's masks (`CspInstance.by_var`) as numpy arrays for
     `_run_block`, each mask as W = ceil(m/64) uint64 words, nogood j at bit
     j % 64 of word j // 64.
 
@@ -242,9 +249,9 @@ def _run_block(instance: CspInstance, tables: _BlockTables, words: np.ndarray) -
     levels[1] & match[y][a] is nonzero, and assigning a moves
     levels[c+1] & match[y][a] down to level c; in a row still alive,
     levels[1] holds none of match[y][a], as a was allowed.  Unlike
-    `NogoodState.assign`, a step kills no nogood that names y with another
-    value: such a nogood forbids nothing (see the module docstring), so
-    every row's outcome is NogoodState's.  Level 0 is not kept: it would
+    `core._step`, a step kills no nogood that names y with another value:
+    such a nogood forbids nothing (see the module docstring), so every
+    row's outcome is `_iterate`'s.  Level 0 is not kept: it would
     only gain levels[1] & match[y][a], which is zero unless a was
     forbidden, that is, unless the row has aborted.  The last step moves
     no level, as nothing reads them after it.  The picks are scattered

@@ -18,8 +18,9 @@ What stays here, with why:
   values, in 0.9-1.3 s against 3.6-4.6 s on the 17 instances of
   `test_estimates_match_exact_probability` (2 vCPU, Python 3.11).
 - `CounterState` keeps each nogood's status as counters, the plain form
-  of `NogoodState`'s bitset levels, and `reference_dpll` is the solver's
-  search as a plain loop on it; `checks.search` is a different search.
+  of the bitset levels that `core._step` moves, and `reference_dpll` is
+  the solver's search as a plain loop on it; `checks.search` is a
+  different search.
 
 The code written here uses plain loops and exact arithmetic, and none of
 it calls into the package's solvers or oracles (instances are only read
@@ -114,7 +115,8 @@ def exact_iteration_success(instance) -> Fraction:
 
 
 class CounterState:
-    """Nogood status kept as per-nogood counters, NogoodState's interface.
+    """Nogood status kept as per-nogood counters, for the plain DPLL loops
+    (`reference_dpll` here, `one_variable_dpll` in test_dpll.py).
 
     For nogood j, `left[j]` counts its unassigned pairs and `bad[j]` its
     assigned pairs that disagree with it: it is killed when bad[j] > 0,
@@ -152,9 +154,6 @@ class CounterState:
             elif self.left[j] == 0 and self.bad[j] == 0:
                 self.matched -= 1
             self.left[j] += 1
-
-    def forbidden(self, y):
-        return {a for j, a in self.by_var[y] if self.left[j] == 1 and self.bad[j] == 0}
 
 
 def reference_dpll(instance):

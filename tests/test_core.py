@@ -15,7 +15,7 @@ from kcsp import (
     serialize_instance,
 )
 from kcsp import core
-from kcsp.core import NogoodState, _LimitExceeded
+from kcsp.core import _LimitExceeded
 from kcsp.generators import gen_coloring, gen_latin, gen_model_rb, gen_nqueens, gen_uniform
 from kcsp.harness import corpus
 
@@ -27,13 +27,23 @@ def triangle():
     return gen_coloring([(1, 2), (2, 3), (1, 3)], 3, 3)
 
 
-def narrowed(instance, state, y):
+def step(instance, levels, y, value):
+    """The levels after the unassigned y takes `value`, by the one move."""
+    touch, match, _ = instance.by_var
+    return core._step(levels, ~touch[y], match[y].get(value, 0))
+
+
+def forbidden(instance, levels, y):
+    """The values of the unassigned y that would complete a match, read off
+    level 1 and y's masks."""
+    touch, match, _ = instance.by_var
+    live = levels[1] & touch[y]
+    return {a for a, mask in match[y].items() if live & mask}
+
+
+def narrowed(instance, levels, y):
     """y's narrowed domain as the kernel reports it."""
-    return set(range(instance.d)) - state.forbidden(y)
-
-
-def snapshot(state):
-    return list(state.values), list(state.levels)
+    return set(range(instance.d)) - forbidden(instance, levels, y)
 
 
 def defined_levels(instance, assigned: dict) -> list[int]:
@@ -139,6 +149,28 @@ class TestCspInstance:
         with pytest.raises(ValueError, match="out of range"):
             CspInstance(2, 2, [[(1, 2)]])
 
+    def test_counts_must_be_integers(self):
+        # a float n or d would build, then fail inside by_var or range(d)
+        for args, message in [
+            ((2.0, 2), "variable count 2.0 is not an integer"),
+            ((2, 2.5), "domain size 2.5 is not an integer"),
+            (("3", 2), "variable count '3' is not an integer"),
+            ((2, np.float64(2.0)), "domain size np.float64(2.0) is not an integer"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CspInstance(*args, [[(1, 0)]])
+        # integers of other types are taken as exact ints
+        inst = CspInstance(True, np.int64(2), [[(1, 0)]])
+        assert (type(inst.n), type(inst.d)) == (int, int)
+        assert repr(inst) == "CspInstance(n=1, d=2, nogoods=1)"
+        assert inst == CspInstance(1, 2, [[(1, 0)]])
+        for args, message in [
+            ((0, 2), "variable count must be positive, got 0"),
+            ((2, False), "domain size must be at least 1, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CspInstance(*args)
+
     def test_deduplication_keeps_first_occurrence_order(self):
         inst = CspInstance(3, 2, [[(2, 1)], [(1, 0)], [(2, 1)]])
         assert pair_lists(inst) == [((2, 1),), ((1, 0),)]
@@ -180,9 +212,8 @@ class TestCspInstance:
         assert touch == [0, 1, 1]
         assert match[1] == {999_999_999: 1} and match[2] == {7: 1}
         assert levels == [0, 0, 1]
-        state = NogoodState(inst)
-        state.assign(1, 999_999_999)
-        assert state.forbidden(2) == {7}
+        levels = core._step(levels, ~touch[1], match[1].get(999_999_999, 0))
+        assert forbidden(inst, levels, 2) == {7}
 
     def test_variable_named_with_one_value_shares_its_mask(self):
         # a unary chain's `touch` masks are its `match` masks, not copies
@@ -200,60 +231,52 @@ class TestCspInstance:
 
 
 class TestNogoodStatus:
-    # one nogood, ((1, 0), (2, 1)), read off the kernel as killed, matched or live
+    # one nogood, ((1, 0), (2, 1)), read off the levels as killed, matched or live
     def test_active_with_unassigned_subset(self):
-        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
-        assert (state.levels, state.matched) == ([0, 0, 1], False)
-        state.assign(1, 0)
-        assert (state.levels, state.matched) == ([0, 1, 0], False)
-        assert state.forbidden(2) == {1}
+        inst = CspInstance(2, 2, [[(1, 0), (2, 1)]])
+        levels = inst.by_var[2]
+        assert (levels, bool(levels[0])) == ([0, 0, 1], False)
+        levels = step(inst, levels, 1, 0)
+        assert (levels, bool(levels[0])) == ([0, 1, 0], False)
+        assert forbidden(inst, levels, 2) == {1}
 
     def test_killed_on_disagreement(self):
-        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
-        state.assign(1, 1)
-        assert (state.levels, state.matched) == ([0, 0, 0], False)
-        assert state.forbidden(2) == set()
+        inst = CspInstance(2, 2, [[(1, 0), (2, 1)]])
+        levels = step(inst, inst.by_var[2], 1, 1)
+        assert (levels, bool(levels[0])) == ([0, 0, 0], False)
+        assert forbidden(inst, levels, 2) == set()
 
     def test_matched_when_all_agree(self):
-        state = NogoodState(CspInstance(2, 2, [[(1, 0), (2, 1)]]))
-        state.assign(1, 0)
-        state.assign(2, 1)
-        assert (state.levels, state.matched) == ([1, 0, 0], True)
+        inst = CspInstance(2, 2, [[(1, 0), (2, 1)]])
+        levels = step(inst, step(inst, inst.by_var[2], 1, 0), 2, 1)
+        assert (levels, bool(levels[0])) == ([1, 0, 0], True)
 
     def test_arity_zero_always_matched(self):
         inst = CspInstance(2, 2, [[], [(1, 0)]])
-        state = NogoodState(inst)
-        assert (state.levels, state.matched) == ([0b01, 0b10], True)
-        before = state.levels
-        state.assign(1, 0)
-        assert state.levels == [0b11, 0]
-        state.levels, state.values[1] = before, None
-        assert state.levels == [0b01, 0b10] and state.values == [None, None, None]
-        state.assign(1, 1)
-        assert state.levels == [0b01, 0]
-        state = NogoodState(inst)
-        assert (state.levels, state.matched) == ([0b01, 0b10], True)
+        before = inst.by_var[2]
+        assert (before, bool(before[0])) == ([0b01, 0b10], True)
+        assert step(inst, before, 1, 0) == [0b11, 0]
+        # the kept list is the undo point, and the instance's table the empty assignment's
+        assert before == [0b01, 0b10]
+        assert step(inst, before, 1, 1) == [0b01, 0]
+        assert inst.by_var[2] == [0b01, 0b10]
 
     def test_invariant_under_assignment_insertion_order(self):
         inst = CspInstance(3, 2, [[(1, 0), (3, 1)]])
-        first = NogoodState(inst)
-        first.assign(1, 0)
-        first.assign(3, 1)
-        second = NogoodState(inst)
-        second.assign(3, 1)
-        second.assign(1, 0)
-        assert snapshot(first) == snapshot(second)
+        first = step(inst, step(inst, inst.by_var[2], 1, 0), 3, 1)
+        second = step(inst, step(inst, inst.by_var[2], 3, 1), 1, 0)
+        assert first == second == [1, 0, 0]
 
 
 def random_walks(seed: int):
     """200 random instances, each with a walk that assigns variables in any
     order and puts back the levels read before one of its assignments,
     unassigning that variable and every later one in a random order;
-    yields (instance, state, assigned) after every step."""
+    yields (instance, levels, assigned) after every step."""
     rng = random.Random(seed)
     for _ in range(200):
         inst = random_instance(rng)
-        state = NogoodState(inst)
+        levels = inst.by_var[2]
         assigned = {}
         saved = []  # the levels read before each assignment, in order
         for _ in range(3 * inst.n):
@@ -261,28 +284,26 @@ def random_walks(seed: int):
                 back = rng.randrange(len(saved))
                 undone = list(assigned)[back:]
                 rng.shuffle(undone)
-                state.levels = saved[back]
+                levels = saved[back]
                 for y in undone:
-                    state.values[y] = None
                     del assigned[y]
                 del saved[back:]
             else:
                 y = rng.choice([v for v in range(1, inst.n + 1) if v not in assigned])
                 assigned[y] = rng.randrange(inst.d)
-                saved.append(state.levels)
-                state.assign(y, assigned[y])
-            yield inst, state, assigned
+                saved.append(levels)
+                levels = step(inst, levels, y, assigned[y])
+            yield inst, levels, assigned
 
 
 class TestNogoodState:
     def test_counts_match_reference_along_random_walks(self):
         # every level checked against its definition after every step
-        for inst, state, assigned in random_walks(4104):
+        for inst, levels, assigned in random_walks(4104):
             point = tuple(assigned.get(v) for v in range(1, inst.n + 1))
-            assert state.values == [None, *point]
-            assert state.levels == defined_levels(inst, assigned)
+            assert levels == defined_levels(inst, assigned)
             matched = sum(matches(ng.pairs, point) for ng in inst.nogoods)
-            assert state.matched == (matched > 0)
+            assert bool(levels[0]) == (matched > 0)
             # select: fewest unassigned pairs among the live nogoods, then lowest index
             open_nogoods = [
                 (sum(v not in assigned for v, _ in ng.pairs), j)
@@ -292,59 +313,60 @@ class TestNogoodState:
             ]
             # solve_dpll's select rule, read off the levels: the lowest set
             # bit of the first non-empty level from level 1 on
-            level = next((level for level in state.levels[1:] if level), 0)
+            level = next((level for level in levels[1:] if level), 0)
             assert (level & -level).bit_length() - 1 == min(open_nogoods, default=(0, -1))[1]
             for y in range(1, inst.n + 1):
                 if y not in assigned:
                     expected = set(range(inst.d)) - brute_narrowed_domain(inst, assigned, y)
-                    assert state.forbidden(y) == expected
+                    assert forbidden(inst, levels, y) == expected
 
     def test_completing_names_the_forbidden_values_along_random_walks(self):
         # the DPLL walk's blocking test: value a of y would complete a match
         # iff level 1, cut to the nogoods naming y, meets those naming (y, a)
-        for inst, state, assigned in random_walks(4110):
+        for inst, levels, assigned in random_walks(4110):
             touch, match, _ = inst.by_var
             for y in range(1, inst.n + 1):
                 if y in assigned:
                     continue
-                live = state.levels[1] & touch[y]
-                forbidden = state.forbidden(y)
+                live = levels[1] & touch[y]
+                blocked = forbidden(inst, levels, y)
                 narrowed = brute_narrowed_domain(inst, assigned, y)
                 for value in range(inst.d):
                     completes = bool(live & match[y].get(value, 0))
-                    assert completes == (value in forbidden) == (value not in narrowed)
+                    assert completes == (value in blocked) == (value not in narrowed)
 
     def test_assign_unassign_round_trip(self):
+        # every value of y stepped from one kept list, which then still
+        # holds the levels of the assignment before y
         rng = random.Random(4105)
         for _ in range(200):
             inst = random_instance(rng)
-            state = NogoodState(inst)
+            levels = inst.by_var[2]
+            assigned = {}
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
             for y in order:
-                before = snapshot(state)
-                levels = state.levels
+                before = list(levels)
                 for value in range(inst.d):
-                    state.assign(y, value)
-                    state.levels, state.values[y] = levels, None
-                    assert snapshot(state) == before
-                state.assign(y, rng.randrange(inst.d))
+                    after = defined_levels(inst, {**assigned, y: value})
+                    assert step(inst, levels, y, value) == after
+                    assert levels == before == defined_levels(inst, assigned)
+                assigned[y] = rng.randrange(inst.d)
+                levels = step(inst, levels, y, assigned[y])
 
     def test_reset_restores_initial_state(self):
-        # back to the empty assignment by hand, and through a new state,
-        # which the assignments must not have changed
+        # back to the empty assignment by the instance's own table, which
+        # the assignments must not have changed
         rng = random.Random(4106)
         for _ in range(100):
             inst = random_instance(rng)
-            state = NogoodState(inst)
-            initial, levels = snapshot(state), state.levels
+            initial = inst.by_var[2]
+            kept = list(initial)
+            levels = initial
             for y in range(1, inst.n + 1):
-                state.assign(y, rng.randrange(inst.d))
-            assert snapshot(NogoodState(inst)) == initial
-            state.levels = levels
-            state.values[1:] = [None] * inst.n
-            assert snapshot(state) == initial
-            assert initial[1] == defined_levels(inst, {})
+                levels = step(inst, levels, y, rng.randrange(inst.d))
+            assert inst.by_var[2] is initial
+            assert initial == kept == defined_levels(inst, {})
 
     def test_wide_masks_match_their_definition(self):
         # from 4,096 nogoods on the masks are built through a bytearray, not by ORs
@@ -355,29 +377,29 @@ class TestNogoodState:
             for v in range(1, inst.n + 1):
                 named = [(j, a) for j, ng in enumerate(inst.nogoods) for u, a in ng.pairs if u == v]
                 assert touch[v] == sum(1 << j for j, _ in named)
-                assert match[v] == {a: sum(1 << j for j, b in named if b == a) for _, a in named}
+                # each value once, in the order it first occurs
+                values = dict.fromkeys(a for _, a in named)
+                assert match[v] == {a: sum(1 << j for j, b in named if b == a) for a in values}
             assert levels == defined_levels(inst, {})
             rng = random.Random(4108)
-            state = NogoodState(inst)
             assigned = {}
             for y in rng.sample(range(1, inst.n + 1), inst.n):
                 assigned[y] = rng.randrange(inst.d)
-                state.assign(y, assigned[y])
-                assert state.levels == defined_levels(inst, assigned)
+                levels = core._step(levels, ~touch[y], match[y].get(assigned[y], 0))
+                assert levels == defined_levels(inst, assigned)
 
     def test_assign_leaves_the_lists_it_replaced_unchanged(self):
         # what makes a kept levels list a valid undo point
         rng = random.Random(4109)
         for _ in range(200):
             inst = random_instance(rng)
-            state = NogoodState(inst)
+            levels = inst.by_var[2]
             kept = []
             assigned = {}
             for y in rng.sample(range(1, inst.n + 1), inst.n):
-                levels = state.levels
                 kept.append((levels, list(levels), defined_levels(inst, assigned)))
                 assigned[y] = rng.randrange(inst.d)
-                state.assign(y, assigned[y])
+                levels = step(inst, levels, y, assigned[y])
             for levels, ints, defined in kept:
                 assert levels == ints == defined
 
@@ -402,35 +424,50 @@ class TestIsSatisfying:
             with pytest.raises(ValueError, match=r"values in 0\.\.1"):
                 is_satisfying(CspInstance(2, 2, nogoods), values)
 
+    def test_rejects_values_that_are_not_integers(self):
+        # 0.5 is not 0 and matches no nogood pair, so it would read as satisfying
+        inst = CspInstance(2, 2, [[(1, 0), (2, 1)]])
+        for values, entry in [
+            ((0.5, 1), 0.5),
+            ((0, 1.0), 1.0),
+            (("0", 1), "0"),
+            ((1, np.float64(0)), np.float64(0)),
+        ]:
+            message = f"entry {entry!r} is not an integer"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                is_satisfying(inst, values)
+        # integers of other types still are
+        assert not is_satisfying(inst, (np.int64(0), True))
+        assert is_satisfying(inst, np.array([1, 1], dtype=np.uint8))
+        assert is_satisfying(inst, (False, np.int32(0)))
+
 
 class TestNarrowedDomain:
     def test_triangle_two_neighbors_colored(self):
-        state = NogoodState(triangle())
-        state.assign(1, 0)
-        state.assign(2, 1)
-        assert narrowed(triangle(), state, 3) == {2}
+        inst = triangle()
+        levels = step(inst, step(inst, inst.by_var[2], 1, 0), 2, 1)
+        assert narrowed(inst, levels, 3) == {2}
 
     def test_triangle_one_neighbor_colored(self):
-        state = NogoodState(triangle())
-        state.assign(1, 0)
-        assert narrowed(triangle(), state, 3) == {1, 2}
+        inst = triangle()
+        assert narrowed(inst, step(inst, inst.by_var[2], 1, 0), 3) == {1, 2}
 
     def test_no_nogoods_full_domain(self):
         inst = CspInstance(2, 3)
-        assert NogoodState(inst).forbidden(1) == set()
-        assert narrowed(inst, NogoodState(inst), 1) == {0, 1, 2}
+        assert forbidden(inst, inst.by_var[2], 1) == set()
+        assert narrowed(inst, inst.by_var[2], 1) == {0, 1, 2}
 
     def test_unary_nogood_forbids_unconditionally(self):
         inst = CspInstance(2, 2, [[(1, 0)]])
-        assert narrowed(inst, NogoodState(inst), 1) == {1}
+        assert narrowed(inst, inst.by_var[2], 1) == {1}
 
     def test_arity_zero_empties_every_domain(self):
-        # an arity-0 nogood names no variable: the kernel reports it as
+        # an arity-0 nogood names no variable: the levels hold it as
         # matched from the start, which empties every domain
         inst = CspInstance(2, 3, [[]])
-        state = NogoodState(inst)
-        assert state.levels == [1, 0] and state.matched
-        assert state.forbidden(1) == state.forbidden(2) == set()
+        levels = inst.by_var[2]
+        assert levels == [1, 0] and levels[0]
+        assert forbidden(inst, levels, 1) == forbidden(inst, levels, 2) == set()
         assert brute_narrowed_domain(inst, {}, 1) == set()
 
     def test_matches_reference_implementation_on_fuzz(self):
@@ -440,14 +477,14 @@ class TestNarrowedDomain:
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
             prefix_len = rng.randrange(inst.n)
-            state = NogoodState(inst)
+            levels = inst.by_var[2]
             assigned = {}
             for y in order[:prefix_len]:
                 value = rng.randrange(inst.d)
-                state.assign(y, value)
+                levels = step(inst, levels, y, value)
                 assigned[y] = value
             for y in order[prefix_len:]:
-                assert narrowed(inst, state, y) == brute_narrowed_domain(inst, assigned, y)
+                assert narrowed(inst, levels, y) == brute_narrowed_domain(inst, assigned, y)
 
     def test_solution_safety_on_fuzz(self):
         # a solution's own value never gets narrowed away along any prefix
@@ -461,31 +498,31 @@ class TestNarrowedDomain:
             X = rng.choice(solutions)
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
-            state = NogoodState(inst)
+            levels = inst.by_var[2]
             for y in order:
-                assert X[y - 1] not in state.forbidden(y)
-                state.assign(y, X[y - 1])
+                assert X[y - 1] not in forbidden(inst, levels, y)
+                levels = step(inst, levels, y, X[y - 1])
             checked += 1
 
 
 class TestPartialAssignment:
-    # a partial assignment lives in NogoodState.values; it is read as a
-    # total assignment only once every variable is set
+    # a partial assignment is a values list, None for an unassigned
+    # variable; it is read as a total assignment only once every variable
+    # is set, and the levels moved along it agree
     def test_as_tuple_requires_total(self):
         inst = CspInstance(2, 2, [[(1, 0), (2, 0)]])
-        state = NogoodState(inst)
+        values = [None, None]
         with pytest.raises(ValueError, match="total"):
-            is_satisfying(inst, state.values[1:])
-        state.assign(1, 0)
+            is_satisfying(inst, values)
+        values[0] = 0
+        kept = step(inst, inst.by_var[2], 1, 0)
         with pytest.raises(ValueError, match="total"):
-            is_satisfying(inst, state.values[1:])
-        levels = state.levels
-        state.assign(2, 1)
-        assert tuple(state.values[1:]) == (0, 1)
-        assert is_satisfying(inst, state.values[1:])
-        state.levels, state.values[2] = levels, None
-        state.assign(2, 0)
-        assert not is_satisfying(inst, state.values[1:])
+            is_satisfying(inst, values)
+        values[1] = 1
+        assert tuple(values) == (0, 1)
+        assert is_satisfying(inst, values) and not step(inst, kept, 2, 1)[0]
+        values[1] = 0
+        assert not is_satisfying(inst, values) and step(inst, kept, 2, 0)[0]
 
 
 class TestParsing:

@@ -308,7 +308,7 @@ class TestBlockedChildren:
 
     def test_blocked_children_are_not_assigned(self, monkeypatch):
         # every assignment the walk makes, searched child or pin, is one
-        # call of the move it shares with NogoodState.assign
+        # call of the move it shares with PPSZ's `_iterate`
         calls = 0
         step = dpll._step
 

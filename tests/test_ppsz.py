@@ -24,7 +24,6 @@ from kcsp.harness import corpus
 from kcsp.ppsz import _iterate, _splitmix64, derive_seed, iteration_successes
 
 from bruteforce import (
-    CounterState,
     brute_narrowed_domain,
     brute_solutions,
     exact_iteration_success,
@@ -116,14 +115,18 @@ GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 
 def reference_block_iteration(instance, seed, index):
-    """Iteration `index` replayed in plain Python: words t of the
-    splitmix64 stream from derive_seed(seed, index) are
-    _splitmix64(s + t * GOLDEN); words 1..n-1 drive a Fisher-Yates shuffle
-    and word n+t picks the value at position t among the sorted narrowed
-    domain.  (The assignment or None on an abort, the number of variables
-    whose domain was narrowed.)"""
+    """Iteration `index` replayed in plain Python, on the stream of
+    derive_seed(seed, index)."""
+    return reference_iterate(instance, derive_seed(seed, index))
+
+
+def reference_iterate(instance, s):
+    """One pass in plain Python: words t of the splitmix64 stream from s
+    are _splitmix64(s + t * GOLDEN); words 1..n-1 drive a Fisher-Yates
+    shuffle and word n+t picks the value at position t among the sorted
+    narrowed domain.  (The assignment or None on an abort, the number of
+    variables whose domain was narrowed.)"""
     n = instance.n
-    s = derive_seed(seed, index)
     words = [_splitmix64((s + t * GOLDEN) % 2**64) for t in range(2 * n)]
     order = list(range(1, n + 1))
     for t in range(n - 1, 0, -1):
@@ -474,9 +477,11 @@ class TestSolvePpsz:
         assert stats.status == "SAT" and stats.assignment == (0, 0)
         assert stats.max_repeats == 1
 
-    def test_same_runs_on_the_counter_kernel(self, monkeypatch):
-        # both kernels read the same stream, so every run makes the same
-        # iterations and ends with the same assignment and histogram
+    def test_same_runs_on_the_reference_pass(self, monkeypatch):
+        # the levels pass and the plain reference pass, which narrows each
+        # domain from its definition, read the same stream, so every run
+        # makes the same iterations and ends with the same assignment and
+        # histogram
         rng = random.Random(809)
         cases = [inst for _, inst in corpus()] + [random_instance(rng) for _ in range(200)]
         seeds = [rng.randrange(2**32) for _ in cases]
@@ -489,7 +494,7 @@ class TestSolvePpsz:
             ]
 
         bitset = runs()
-        monkeypatch.setattr(ppsz, "NogoodState", CounterState)
+        monkeypatch.setattr(ppsz, "_iterate", reference_iterate)
         assert runs() == bitset
         assert {status for status, *_ in bitset} == {"SAT", "FAILURE"}
 
